@@ -6,7 +6,9 @@ reference semantics: one candidate at a time, four checks in a fixed order
 improvement, dissimilarity).  The engines process candidates in blocks for
 speed, but consume the random stream in the same word order and push every
 value through the same row kernels, so their accept/reject decisions, stats,
-and output instances match a one-at-a-time replay exactly.
+and output instances match a one-at-a-time replay exactly.  They decide
+likeness to the bounding rows with ``BoundingScreen``, which gives the
+verdict of a dense index of those rows without storing them.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import (
+    BoundingScreen,
     SimilarityIndex,
     distance_to_center,
     hypercube_center,
@@ -62,14 +65,24 @@ def _require_valid(params: GeneratorParams) -> None:
 def draw_candidate(stream: RngStream, params: GeneratorParams, h: np.ndarray) -> Inequality:
     """Draw one random inequality, already flipped to keep h feasible.
 
-    Consumes n+1 sign words then n+1 magnitude words per candidate; an
-    all-zero coefficient row is redrawn internally and never surfaces.
+    Consumes n+1 sign words then n+1 magnitude words per candidate, in one
+    ``raw_words`` call; a stream without ``raw_words`` is read through its
+    ``next_signs`` / ``next_reals`` / ``next_real`` draws in the same order.
+    An all-zero coefficient row is redrawn internally and never surfaces.
     """
     n = params.n
+    raw_words = getattr(stream, "raw_words", None)
     while True:
-        signs = stream.next_signs(n + 1)
-        a = signs[:n] * stream.next_reals(0.0, params.a_max, n)
-        b = float(signs[n] * stream.next_real(0.0, params.b_max))
+        if raw_words is None:
+            signs = stream.next_signs(n + 1)
+            a = signs[:n] * stream.next_reals(0.0, params.a_max, n)
+            b = float(signs[n] * stream.next_real(0.0, params.b_max))
+        else:
+            words = raw_words(2 * n + 2)
+            signs = words_to_signs(words[: n + 1])
+            units = words_to_units(words[n + 1 :])
+            a = signs[:n] * scale_units(units[:n], 0.0, params.a_max)
+            b = float(signs[n] * scale_units(units[n], 0.0, params.b_max))
         if float(row_sumsq(a)) == 0.0:
             continue
         if float(row_dots(a, h)) > b:
@@ -288,14 +301,13 @@ def generate_sequential(params: GeneratorParams) -> tuple[LPInstance, Generation
     walker: _StreamWalker | None = None
     if d > 0:
         feed = _CandidateFeed(derive_stream(params.seed, 0), params, h, c)
-        index = SimilarityIndex.from_inequalities(
-            support, n, params.l_max, params.s_min, extra_capacity=d
-        )
+        screen = BoundingScreen(n, params.alpha, params.l_max, params.s_min)
+        index = SimilarityIndex(n, params.l_max, params.s_min, capacity=d + 1)
         walker = _StreamWalker(feed, params.max_attempts)
         try:
             while len(accepted) < d:
                 a, b = walker.next_survivor()
-                if index.any_alike(a, b):
+                if screen.any_alike(a, b) or index.any_alike(a, b):
                     walker.note_similarity_rejection()
                 else:
                     q = Inequality(a, b)
@@ -321,14 +333,14 @@ class _Worker:
     """One parallel producer: filters candidates from its own stream against
     the distance, objective, and support-similarity conditions."""
 
-    def __init__(self, params, stream, h, c, support_index):
+    def __init__(self, params, stream, h, c, screen):
         self.walker = _StreamWalker(_CandidateFeed(stream, params, h, c), params.max_attempts)
-        self._index = support_index
+        self._screen = screen
 
     def next_submission(self) -> tuple[np.ndarray, float]:
         while True:
             a, b = self.walker.next_survivor()
-            if self._index.any_alike(a, b):
+            if self._screen.any_alike(a, b):
                 self.walker.note_similarity_rejection()
                 continue
             self.walker.attempts = 0
@@ -379,10 +391,10 @@ def generate_parallel(params: GeneratorParams) -> tuple[LPInstance, GenerationSt
         return GenerationStalledError(message, stats)
 
     if d > 0:
-        support_index = SimilarityIndex.from_inequalities(support, n, params.l_max, params.s_min)
+        screen = BoundingScreen(n, params.alpha, params.l_max, params.s_min)
         accepted_index = SimilarityIndex(n, params.l_max, params.s_min, capacity=d + 1)
         workers = [
-            _Worker(params, derive_stream(params.seed, l), h, c, support_index)
+            _Worker(params, derive_stream(params.seed, l), h, c, screen)
             for l in range(1, L + 1)
         ]
         examined_at_accept = 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Inequality
+from .support import diagonal_rhs
 
 
 def row_dots(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -133,3 +134,63 @@ class SimilarityIndex:
         gaps = row_norms(self._units[: self._count] - u)
         offs = np.abs(self._offsets[: self._count] - beta)
         return bool(np.any((gaps < self._l_max) & (offs < self._s_min)))
+
+
+# Absolute slack on the squared direction gap when shortlisting bounding
+# rows.  The closed form 2 - 2*u_j differs from the rounded row kernel by a
+# few ulps times n, far below this.
+_GAP_SQ_MARGIN = 1e-6
+
+
+class BoundingScreen:
+    """Likeness against the 2n+1 rows of ``build_support(n, alpha)``, from
+    their closed form instead of a stored (2n+1) x n matrix.
+
+    For a unit normal u with normalized offset beta:
+
+    * rows x_j <= alpha have offset alpha and squared gap about 2 - 2*u_j,
+    * rows -x_j <= 0 have offset 0 and squared gap about 2 + 2*u_j,
+    * the diagonal row has unit normal ones/sqrt(n).
+
+    So one scalar offset test covers each family of n rows, and a direction
+    gap below l_max needs +-u_j above 1 - l_max^2/2 (less a margin).  Every
+    shortlisted row is rechecked with ``row_norms(unit - u)`` on the same
+    unit row a dense ``SimilarityIndex`` of the bounding rows holds, so the
+    verdict equals that index's ``any_alike`` bit for bit, in O(n).
+    """
+
+    def __init__(self, n: int, alpha: float, l_max: float, s_min: float):
+        self._n = n
+        self._alpha = float(alpha)
+        self._l_max = l_max
+        self._s_min = s_min
+        self._cut = 1.0 - (l_max * l_max + _GAP_SQ_MARGIN) / 2.0
+        ones = np.ones(n)
+        nrm = float(row_norms(ones))
+        self._diag_unit = ones / nrm
+        self._diag_offset = float(diagonal_rhs(n, alpha)) / nrm
+
+    def _axis_alike(self, u: np.ndarray, coef: float) -> bool:
+        """Any row coef * e_j within l_max of u, shortlisted by coef * u_j."""
+        for j in np.flatnonzero(coef * u > self._cut):
+            unit = np.zeros(self._n)
+            unit[j] = coef
+            if row_norms(unit - u) < self._l_max:
+                return True
+        return False
+
+    def any_alike(self, a: np.ndarray, b: float) -> bool:
+        nrm = float(row_norms(a))
+        if nrm == 0.0:
+            raise ValueError("zero-norm coefficient vector cannot be compared")
+        u = a / nrm
+        beta = b / nrm
+        s_min = self._s_min
+        if abs(self._alpha - beta) < s_min and self._axis_alike(u, 1.0):
+            return True
+        if abs(beta) < s_min and self._axis_alike(u, -1.0):
+            return True
+        return bool(
+            abs(self._diag_offset - beta) < s_min
+            and row_norms(self._diag_unit - u) < self._l_max
+        )

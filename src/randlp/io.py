@@ -9,14 +9,25 @@ exactly):
 
 Bounding rows come first in canonical order, then the accepted random rows in
 acceptance order.  The header is redundant on purpose: m must equal 2n+1+d.
+
+Bounding rows are mostly zeros, so both directions use a template: the text
+of each canonical row of ``build_support(n, alpha)``, built one row at a time
+from ``support_layout`` with ``_fmt(alpha)`` and ``_fmt((n-1)*alpha +
+alpha/2)``.  The writer emits the template for a row that is bitwise
+canonical, and formats any other row (say one holding -0.0 or nan) token by
+token; either way the bytes are exactly those of formatting every token.
+The reader takes the canonical row for a line equal to its template and
+parses every other line token by token.  Every number read must be finite.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .model import GenerationStats, GeneratorParams, Inequality, LPInstance
+from .support import support_layout, support_row
 
 
 class ParseError(ValueError):
@@ -27,11 +38,49 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _tokens(values: np.ndarray) -> list[str]:
+    # tolist() gives the same binary64 values as Python floats, without a
+    # float() call per number
+    return [format(v, ".17g") for v in values.tolist()]
+
+
+def _row_text(q: Inequality) -> str:
+    return " ".join(_tokens(q.a) + [_fmt(q.b)])
+
+
+def _bits(v: float) -> np.uint64:
+    return np.float64(v).view(np.uint64)
+
+
+def _layout_text(n: int, j, coef: float, rhs: float) -> str:
+    """What ``_row_text`` gives for the row (j, coef, rhs) of
+    ``support_layout``, built without formatting every zero."""
+    tok = _fmt(coef) + " "
+    if j is None:
+        return tok * n + _fmt(rhs)
+    return "0 " * j + tok + "0 " * (n - 1 - j) + _fmt(rhs)
+
+
+def _is_layout_row(q: Inequality, n: int, j, coef: float, rhs: float) -> bool:
+    """q is bitwise the row (j, coef, rhs) of ``support_layout``."""
+    if q.a.shape != (n,) or _bits(q.b) != _bits(rhs):
+        return False
+    bits = q.a.view(np.uint64)
+    if j is None:
+        return bool(np.all(bits == _bits(coef)))
+    return bool(bits[j] == _bits(coef)) and np.count_nonzero(bits) == 1
+
+
 def instance_to_text(inst: LPInstance) -> str:
-    lines = [f"{inst.n} {inst.m} {inst.d} {inst.params.seed}"]
-    for q in inst.constraints:
-        lines.append(" ".join([_fmt(v) for v in q.a] + [_fmt(q.b)]))
-    lines.append(" ".join(_fmt(v) for v in inst.c))
+    n = inst.n
+    lines = [f"{n} {inst.m} {inst.d} {inst.params.seed}"]
+    layout = support_layout(n, float(inst.params.alpha))
+    for q, spec in zip(inst.support, layout):
+        lines.append(_layout_text(n, *spec) if _is_layout_row(q, n, *spec) else _row_text(q))
+    # a support tuple longer than 2n+1 keeps its extra rows
+    for q in inst.support[2 * n + 1 :] + inst.random:
+        lines.append(_row_text(q))
+    lines.append(" ".join(_tokens(inst.c)))
     return "\n".join(lines) + "\n"
 
 
@@ -49,9 +98,19 @@ def _floats(line: str, line_no: int, count: int) -> list[float]:
     if len(toks) != count:
         raise ParseError(f"line {line_no}: expected {count} numbers, found {len(toks)}")
     try:
-        return [float(t) for t in toks]
+        vals = [float(t) for t in toks]
     except ValueError:
         raise ParseError(f"line {line_no}: not a number among: {line.strip()!r}") from None
+    # A sum with a nan or inf term is not finite; a finite row whose sum
+    # overflows is checked term by term.
+    if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
+        raise ParseError(f"line {line_no}: not a finite number among: {line.strip()!r}")
+    return vals
+
+
+def _parse_row(line: str, line_no: int, n: int) -> Inequality:
+    vals = _floats(line, line_no, n + 1)
+    return Inequality(vals[:n], vals[n])
 
 
 def read_instance(source) -> LPInstance:
@@ -94,10 +153,19 @@ def read_instance(source) -> LPInstance:
             f"objective), found {len(lines)}"
         )
 
+    # The first bounding row carries alpha, which sets the text expected of
+    # every bounding row.  A line that differs from that text, even by
+    # spelling a number another way, is parsed token by token.
+    alpha = _parse_row(lines[1], 2, n).b
     rows = []
-    for i in range(m):
-        vals = _floats(lines[1 + i], 2 + i, n + 1)
-        rows.append(Inequality(np.array(vals[:n]), vals[n]))
+    for i, (j, coef, rhs) in enumerate(support_layout(n, alpha)):
+        line = lines[1 + i]
+        # alpha is finite, but the diagonal's rhs can overflow to inf
+        if math.isfinite(rhs) and line == _layout_text(n, j, coef, rhs):
+            rows.append(support_row(n, j, coef, rhs))
+        else:
+            rows.append(_parse_row(line, 2 + i, n))
+    rows.extend(_parse_row(lines[1 + i], 2 + i, n) for i in range(2 * n + 1, m))
     c = np.array(_floats(lines[1 + m], m + 2, n))
 
     support = tuple(rows[: 2 * n + 1])

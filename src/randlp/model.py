@@ -1,6 +1,7 @@
 """Parameter set, constraint/instance containers, and parameter validation."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +54,21 @@ def validate_params(p: GeneratorParams) -> list[str]:
     if p.d < 0:
         out.append("d >= 0")
     for name in ("alpha", "theta", "rho", "l_max", "s_min", "a_max", "b_max"):
-        if not getattr(p, name) > 0:
+        value = getattr(p, name)
+        if not value > 0:
             out.append(f"{name} > 0")
+        if not math.isfinite(value):
+            out.append(f"{name} finite")
     if not p.theta <= p.alpha / 2:
         out.append("theta <= alpha/2")
     if not p.rho < p.theta:
         out.append("rho < theta")
     if not p.l_max <= 0.7:
         out.append("l_max <= 0.7")
+    # At n = 1 the bounding rows x <= alpha and x <= alpha/2 share a unit
+    # normal, so their offsets must stay s_min apart.
+    if p.n == 1 and not p.s_min <= p.alpha / 2:
+        out.append("s_min <= alpha/2 when n = 1")
     if not 0 <= p.seed < 2**64:
         out.append("0 <= seed < 2**64")
     if p.workers < 1:

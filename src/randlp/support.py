@@ -6,6 +6,35 @@ import numpy as np
 from .model import Inequality
 
 
+def diagonal_rhs(n: int, alpha: float) -> float:
+    """Right-hand side of the diagonal bounding row: (n-1)*alpha + alpha/2."""
+    return (n - 1) * alpha + alpha / 2
+
+
+def support_layout(n: int, alpha: float):
+    """The rows of ``build_support(n, alpha)`` in closed form, in order.
+
+    Yields (j, coef, rhs): coefficient coef at position j and zeros
+    elsewhere, or coef at every position when j is None, with right-hand
+    side rhs.  Code that only needs the structure of the bounding system
+    (the writer, the reader) walks this instead of building the rows.
+    """
+    for j in range(n):
+        yield j, 1.0, alpha
+    for j in range(n):
+        yield j, -1.0, 0.0
+    yield None, 1.0, diagonal_rhs(n, alpha)
+
+
+def support_row(n: int, j, coef: float, rhs: float) -> Inequality:
+    """The row (j, coef, rhs) of ``support_layout`` as an inequality."""
+    if j is None:
+        return Inequality(np.full(n, coef), rhs)
+    a = np.zeros(n)
+    a[j] = coef
+    return Inequality(a, rhs)
+
+
 def build_support(n: int, alpha: float) -> list[Inequality]:
     """The 2n+1 bounding inequalities, in canonical order.
 
@@ -18,17 +47,7 @@ def build_support(n: int, alpha: float) -> list[Inequality]:
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    rows: list[Inequality] = []
-    for j in range(n):
-        a = np.zeros(n)
-        a[j] = 1.0
-        rows.append(Inequality(a, alpha))
-    for j in range(n):
-        a = np.zeros(n)
-        a[j] = -1.0
-        rows.append(Inequality(a, 0.0))
-    rows.append(Inequality(np.ones(n), (n - 1) * alpha + alpha / 2))
-    return rows
+    return [support_row(n, *spec) for spec in support_layout(n, alpha)]
 
 
 def build_objective(n: int, theta: float) -> np.ndarray:

@@ -14,6 +14,7 @@ the generator (plain Gaussian elimination, no shared solver).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -85,9 +86,16 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
         out.append(Violation(-1, "objective row mismatch", "row differs", "exact"))
 
     norms = np.array([float(row_norms(q.a)) for q in rows])
-    for i in np.nonzero(norms == 0.0)[0]:
+    # A nan or inf coefficient makes the norm non-finite, and so can a sum of
+    # squares that overflows: recheck those rows coefficient by coefficient.
+    finite = np.isfinite(norms) & np.isfinite([q.b for q in rows])
+    for i in np.flatnonzero(~finite):
+        finite[i] = bool(np.isfinite(rows[i].a).all()) and math.isfinite(rows[i].b)
+    for i in np.nonzero(~finite)[0]:
+        out.append(Violation(int(i), "finite coefficients", "nan or inf", "finite"))
+    for i in np.nonzero(finite & (norms == 0.0))[0]:
         out.append(Violation(int(i), "nonzero coefficient norm", 0.0, "> 0"))
-    usable = norms > 0.0
+    usable = finite & (norms > 0.0)
 
     h = hypercube_center(n, p.alpha)
     f_h = objective_value(inst.c, h)

@@ -170,3 +170,18 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 3 0 7\n1 200\n-1 0\n1 100\n100\n"
+
+
+@pytest.mark.parametrize("flags, violation", [
+    (["--alpha", "inf"], "alpha finite"),
+    (["--amax", "inf"], "a_max finite"),
+    (["--bmax", "nan"], "b_max finite"),
+])
+def test_non_finite_params_exit_2(capsys, flags, violation):
+    assert run_cli(GEN + flags) == 2
+    assert f"parameter violation: {violation}" in capsys.readouterr().err
+
+
+def test_n1_with_s_min_above_half_alpha_exits_2(capsys):
+    assert run_cli(["gen", "--n", "1", "--d", "0", "--smin", "150"]) == 2
+    assert "s_min <= alpha/2 when n = 1" in capsys.readouterr().err

@@ -1,19 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import randlp.generator as generator_module
 from randlp import (
     CandidateVerdict,
     GenerationStalledError,
     GeneratorParams,
     Inequality,
     ParameterError,
+    SimilarityIndex,
     build_objective,
     build_support,
     derive_stream,
     draw_candidate,
     filter_candidate,
+    generate_parallel,
     generate_sequential,
     hypercube_center,
+    instance_to_text,
     validate_instance,
 )
 
@@ -279,3 +285,72 @@ def test_accepted_rows_differ_across_block_boundaries():
     for q in inst.random:
         assert np.all(np.abs(q.a) <= params.a_max)
         assert abs(q.b) <= params.b_max
+
+
+class ThreeCallStream:
+    """A real stream seen only through its sign and real draws."""
+
+    def __init__(self, stream):
+        self.next_signs = stream.next_signs
+        self.next_reals = stream.next_reals
+        self.next_real = stream.next_real
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_draw_reads_the_same_words_in_one_call_as_in_three(n):
+    params = make_params(n=n, a_max=3.0, b_max=11.0)
+    h = hypercube_center(n, params.alpha)
+    one, three = derive_stream(5, 0), derive_stream(5, 0)
+    for _ in range(200):
+        q1 = draw_candidate(one, params, h)
+        q3 = draw_candidate(ThreeCallStream(three), params, h)
+        assert q1.a.tobytes() == q3.a.tobytes()
+        assert np.float64(q1.b).tobytes() == np.float64(q3.b).tobytes()
+    assert np.array_equal(one.raw_words(4), three.raw_words(4))
+
+
+def dense_bounding_screen(n, alpha, l_max, s_min):
+    """The bounding rows stored densely, as the engines once held them."""
+    return SimilarityIndex.from_inequalities(build_support(n, alpha), n, l_max, s_min)
+
+
+ENGINE_CASES = [
+    GeneratorParams(n=2, d=5, seed=42),
+    GeneratorParams(n=1, d=2, seed=5, rho=10.0, s_min=20.0),
+    GeneratorParams(n=3, d=8, seed=11, b_max=100000.0),
+    GeneratorParams(n=20, d=60, seed=3, l_max=0.7, s_min=150.0),
+    GeneratorParams(n=2, d=5, seed=7, workers=3),
+    GeneratorParams(n=20, d=60, seed=4, workers=2, l_max=0.7, s_min=150.0),
+]
+
+
+@pytest.mark.parametrize("params", ENGINE_CASES)
+def test_engines_decide_as_with_the_dense_bounding_index(monkeypatch, params):
+    engine = generate_parallel if params.workers > 1 else generate_sequential
+    inst, stats = engine(params)
+    monkeypatch.setattr(generator_module, "BoundingScreen", dense_bounding_screen)
+    dense_inst, dense_stats = engine(params)
+    assert instance_to_text(inst) == instance_to_text(dense_inst)
+    assert replace(stats, wall_time_ms=0.0) == replace(dense_stats, wall_time_ms=0.0)
+    assert stats.rejected_similarity > 0
+
+
+@pytest.mark.parametrize("params", ENGINE_CASES[::3])
+def test_engines_and_writer_need_no_dense_bounding_index(monkeypatch, params):
+    engine = generate_parallel if params.workers > 1 else generate_sequential
+    inst, _ = engine(params)
+    text = instance_to_text(inst)
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("dense bounding index built")
+
+    monkeypatch.setattr(SimilarityIndex, "from_inequalities", classmethod(refuse))
+    again, _ = engine(params)
+    assert again == inst
+    assert instance_to_text(again) == text
+
+
+@pytest.mark.parametrize("s_min", [1.0, 50.0, 99.0, 100.0])
+def test_n1_instances_accepted_by_validate_params_validate(s_min):
+    inst, _ = generate_sequential(GeneratorParams(n=1, d=0, s_min=s_min))
+    assert validate_instance(inst).ok

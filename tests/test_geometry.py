@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from randlp import (
     Inequality,
     SimilarityIndex,
+    build_support,
     distance_to_center,
     hypercube_center,
     likeness,
     objective_value,
     project_center,
 )
+from randlp.geometry import BoundingScreen, row_dots, row_norms
 
 H = hypercube_center(2, 200.0)
 
@@ -175,3 +178,119 @@ def test_index_append_then_query():
         idx.append(np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         idx.any_alike(np.zeros(2), 1.0)
+
+
+# --- closed-form bounding screen versus the dense bounding index -------------
+
+
+SCREEN_NS = [1, 2, 3, 20, 400]
+ALPHA = 200.0
+
+
+@functools.lru_cache(maxsize=None)
+def support_rows(n):
+    return tuple(build_support(n, ALPHA))
+
+
+def dense_bounding(n, l_max, s_min):
+    return SimilarityIndex.from_inequalities(support_rows(n), n, l_max, s_min)
+
+
+def assert_screen_matches_dense(n, l_max, s_min, rows):
+    screen = BoundingScreen(n, ALPHA, l_max, s_min)
+    dense = dense_bounding(n, l_max, s_min)
+    for a, b in rows:
+        assert screen.any_alike(a, b) == dense.any_alike(a, b), (a, b, l_max, s_min)
+
+
+def bounding_units(n):
+    """(unit normal, normalized offset) of every bounding row, computed the
+    way SimilarityIndex normalizes them."""
+    out = []
+    for q in support_rows(n):
+        nrm = float(row_norms(q.a))
+        out.append((q.a / nrm, q.b / nrm))
+    return out
+
+
+def near_row(gen, unit, offset, spread, shift, scale):
+    """A row whose unit normal lies about `spread` from `unit` and whose
+    normalized offset lies `shift` from `offset`, scaled by `scale`."""
+    v = unit + spread * gen.standard_normal(unit.shape[0]) / math.sqrt(unit.shape[0])
+    if float(row_norms(v)) == 0.0:
+        v = unit
+    nrm = float(row_norms(v))
+    return scale * v, scale * nrm * (offset + shift)
+
+
+@pytest.mark.parametrize("n", SCREEN_NS)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(0.0, 1.0),
+    shift=st.floats(-300.0, 300.0),
+    scale=st.floats(1e-3, 1e3),
+    l_max=st.floats(0.01, 0.7),
+    s_min=st.floats(1.0, 150.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_screen_matches_dense_index_near_bounding_rows(n, seed, spread, shift, scale, l_max, s_min):
+    gen = np.random.default_rng(seed)
+    units = bounding_units(n)
+    unit, offset = units[int(gen.integers(len(units)))]
+    rows = [near_row(gen, unit, offset, spread, shift, scale)]
+    # and one unrelated row: a random direction and offset
+    a = gen.uniform(-1000.0, 1000.0, n)
+    rows.append((a, float(gen.uniform(-1e4, 1e4))))
+    assert_screen_matches_dense(n, l_max, s_min, rows)
+
+
+@given(
+    st.lists(st.floats(-1e3, 1e3, **finite), min_size=1, max_size=3),
+    st.floats(-1e4, 1e4, **finite),
+    st.floats(0.01, 0.7),
+    st.floats(1.0, 150.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_screen_matches_dense_index_on_drawn_rows(coeffs, b, l_max, s_min):
+    a = np.array(coeffs)
+    if float(row_norms(a)) == 0.0:
+        return
+    assert_screen_matches_dense(len(a), l_max, s_min, [(a, b)])
+
+
+@pytest.mark.parametrize("n", SCREEN_NS)
+def test_screen_matches_dense_index_at_the_thresholds(n):
+    # For each bounding row, a row tilted to a gap of l_max +- 1e-12 from it,
+    # and thresholds set to the exact rounded gap and offset difference the
+    # dense index computes, and one ulp either side of them.
+    gen = np.random.default_rng(n)
+    units = bounding_units(n)
+    picks = range(len(units)) if n <= 20 else [n - 1, n, 2 * n]
+    for k in picks:
+        unit, offset = units[k]
+        w = gen.standard_normal(n) if n > 1 else np.zeros(1)
+        w -= row_dots(w, unit) * unit
+        w_nrm = float(row_norms(w))
+        for target in (0.35 - 1e-12, 0.35, 0.35 + 1e-12):
+            angle = 2.0 * math.asin(target / 2.0)
+            u = math.cos(angle) * unit + (math.sin(angle) * w / w_nrm if w_nrm else 0.0)
+            for beta in (offset - 100.0, offset + 100.0, offset + 99.9999):
+                a = 3.0 * u
+                b = 3.0 * float(row_norms(u)) * beta
+                nrm = float(row_norms(a))
+                gap = float(row_norms(unit - a / nrm))
+                off = abs(offset - b / nrm)
+                thresholds = [(0.35, 100.0)] + [
+                    (float(l_max), float(s_min))
+                    for l_max in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, 1.0))
+                    for s_min in (off, np.nextafter(off, 0.0), np.nextafter(off, 1e9))
+                ]
+                for l_max, s_min in thresholds:
+                    assert_screen_matches_dense(n, l_max, s_min, [(a, b)])
+        # the row itself sits at gap 0 and offset difference 0
+        assert BoundingScreen(n, ALPHA, 0.35, 100.0).any_alike(3.0 * unit, 3.0 * offset)
+
+
+def test_screen_rejects_a_zero_row_like_the_index():
+    with pytest.raises(ValueError):
+        BoundingScreen(3, ALPHA, 0.35, 100.0).any_alike(np.zeros(3), 1.0)

@@ -187,3 +187,109 @@ def test_write_stats_to_path(tmp_path):
     dest = tmp_path / "stats.txt"
     write_stats(stats, dest)
     assert dest.read_text() == stats_to_text(stats)
+
+
+# --- templated bounding rows ------------------------------------------------
+
+
+def token_text(inst):
+    """Reference writer: every number formatted on its own."""
+    fmt = lambda v: format(float(v), ".17g")  # noqa: E731
+    lines = [f"{inst.n} {inst.m} {inst.d} {inst.params.seed}"]
+    lines += [" ".join([fmt(v) for v in q.a] + [fmt(q.b)]) for q in inst.constraints]
+    lines.append(" ".join(fmt(v) for v in inst.c))
+    return "\n".join(lines) + "\n"
+
+
+def with_support_row(inst, i, row):
+    support = list(inst.support)
+    support[i] = row
+    return LPInstance(n=inst.n, support=tuple(support), random=inst.random, c=inst.c,
+                      params=inst.params)
+
+
+@pytest.mark.parametrize("n, alpha", [(1, 200.0), (3, 64.0), (20, 1e-3), (7, 3.0e300)])
+def test_bounding_rows_written_like_every_token(n, alpha):
+    inst = _synthetic_instance(n, 2, n)
+    inst = LPInstance(n=n, support=tuple(build_support(n, alpha)), random=inst.random,
+                      c=inst.c, params=GeneratorParams(n=n, d=2, alpha=alpha, theta=alpha / 4))
+    text = instance_to_text(inst)
+    assert text == token_text(inst)
+    assert read_instance(io.StringIO(text)) == inst
+
+
+def test_negative_zero_in_a_bounding_row_is_still_written_as_minus_zero():
+    inst = _synthetic_instance(2, 1, 0)
+    # -x_0 <= 0 with a -0.0 coefficient, and with a -0.0 right-hand side
+    for row in (Inequality([-1.0, -0.0], 0.0), Inequality([-1.0, 0.0], -0.0)):
+        tampered = with_support_row(inst, 2, row)
+        text = instance_to_text(tampered)
+        assert text == token_text(tampered)
+        assert "-0" in text.splitlines()[3].split()
+        back = read_instance(io.StringIO(text))
+        assert back.support[2].a.tobytes() == row.a.tobytes()
+        assert np.float64(back.support[2].b).tobytes() == np.float64(row.b).tobytes()
+
+
+@pytest.mark.parametrize("row", [
+    Inequality([1.0, 0.0, 0.0], 200.0000000001),   # rhs off alpha
+    Inequality([1.0, 1e-300, 0.0], 200.0),          # a stray tiny coefficient
+    Inequality([1.0, 1.0, 1.0], 500.0),             # the diagonal in the wrong place
+    Inequality([np.nan, 0.0, 0.0], 200.0),
+])
+def test_non_canonical_bounding_rows_go_through_the_token_path(row):
+    inst = with_support_row(_synthetic_instance(3, 1, 0), 0, row)
+    assert instance_to_text(inst) == token_text(inst)
+
+
+def test_alpha_spelled_another_way_reads_through_the_slow_path(monkeypatch):
+    import randlp.io as rio
+
+    inst = _synthetic_instance(2, 3, 0)
+    lines = instance_to_text(inst).splitlines()
+    for i in (1, 2):  # rows x_j <= alpha
+        lines[i] = lines[i].replace(" 200", " 200.0")
+    assert lines[1] == "1 0 200.0"
+    parsed = []
+    floats = rio._floats
+    monkeypatch.setattr(rio, "_floats", lambda line, no, count: parsed.append(no) or floats(line, no, count))
+    back = read_instance(io.StringIO("\n".join(lines) + "\n"))
+    assert back == inst
+    assert back.params.alpha == 200.0
+    # line 2 gives alpha; lines 2 and 3 differ from the template; the other
+    # bounding rows match it; the random rows and the objective are always
+    # parsed
+    assert parsed == [2, 2, 3, 7, 8, 9, 10]
+
+
+# --- non-finite tokens --------------------------------------------------------
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_non_finite_token_is_a_parse_error_naming_the_line(token):
+    inst, _ = generate_sequential(GeneratorParams(n=2, d=2, seed=42))
+    lines = instance_to_text(inst).splitlines()
+    for line_no in range(2, len(lines) + 1):
+        for k in range(len(lines[line_no - 1].split())):
+            toks = lines[line_no - 1].split()
+            toks[k] = token
+            bad = lines[: line_no - 1] + [" ".join(toks)] + lines[line_no:]
+            msg = err("\n".join(bad) + "\n")
+            assert msg.startswith(f"line {line_no}:"), msg
+            assert "finite" in msg
+
+
+def test_overflowing_diagonal_matches_the_template_yet_is_refused():
+    n, alpha = 3, 1e308
+    inst = LPInstance(n=n, support=tuple(build_support(n, alpha)), random=(),
+                      c=build_objective(n, 1.0), params=GeneratorParams(n=n, alpha=alpha))
+    text = instance_to_text(inst)
+    assert text.splitlines()[7] == "1 1 1 inf"
+    assert err(text).startswith("line 8:")
+
+
+def test_finite_row_whose_sum_overflows_still_reads():
+    inst = _synthetic_instance(2, 0, 0)
+    row = Inequality([1.7e308, 1.7e308], 1.7e308)
+    big = LPInstance(n=2, support=inst.support, random=(row,), c=inst.c, params=inst.params)
+    assert read_instance(io.StringIO(instance_to_text(big))) == big

@@ -114,3 +114,16 @@ def test_stats_defaults():
     assert s.discarded_surplus == 0
     assert s.rounds == 0
     assert s.candidates_drawn == 10
+
+
+@pytest.mark.parametrize("name", ["alpha", "theta", "rho", "l_max", "s_min", "a_max", "b_max"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_float_parameters_must_be_finite(name, value):
+    assert f"{name} finite" in validate_params(make_params(**{name: value}))
+
+
+def test_n1_needs_bounding_rows_s_min_apart():
+    # at n = 1, rows x <= alpha and x <= alpha/2 share a unit normal, alpha/2 apart
+    assert "s_min <= alpha/2 when n = 1" in validate_params(GeneratorParams(n=1, d=0, s_min=150.0))
+    assert validate_params(GeneratorParams(n=1, d=0, s_min=100.0)) == []
+    assert validate_params(GeneratorParams(n=2, d=0, s_min=150.0)) == []

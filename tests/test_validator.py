@@ -204,3 +204,50 @@ def test_reports_are_cumulative(demo_instance):
     assert "nonzero coefficient norm" in conds
     assert any(c.startswith("alike with") for c in conds)
     assert len(report.violations) >= 2
+
+
+# --- non-finite rows ------------------------------------------------------------
+
+
+def with_token(inst, row, col, value):
+    """inst with one number replaced: column col of constraint row (col n is
+    the right-hand side), or objective coefficient col when row is None."""
+    if row is None:
+        c = inst.c.copy()
+        c[col] = value
+        return replace(inst, c=c)
+    rows = list(inst.constraints)
+    q = rows[row]
+    a, b = q.a.copy(), q.b
+    if col == inst.n:
+        b = value
+    else:
+        a[col] = value
+    rows[row] = Inequality(a, b)
+    k = len(inst.support)
+    return replace(inst, support=tuple(rows[:k]), random=tuple(rows[k:]))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_any_single_non_finite_token_is_flagged(demo_instance, value):
+    n = demo_instance.n
+    spots = [(i, j) for i in range(demo_instance.m) for j in range(n + 1)]
+    spots += [(None, j) for j in range(n)]
+    for row, col in spots:
+        report = validate_instance(with_token(demo_instance, row, col, value))
+        assert not report.ok, (row, col)
+        if row is None:
+            assert "objective row mismatch" in conditions(report)
+        else:
+            assert (row, "finite coefficients") in [
+                (v.constraint, v.condition) for v in report.violations
+            ], (row, col)
+
+
+def test_finite_row_whose_norm_overflows_is_not_called_non_finite(demo_instance):
+    row = len(demo_instance.support)
+    with np.errstate(over="ignore"):  # the squares of 1e200 overflow
+        report = validate_instance(with_token(demo_instance, row, 0, 1e200))
+    assert (row, "finite coefficients") not in [
+        (v.constraint, v.condition) for v in report.violations
+    ]
