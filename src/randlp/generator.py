@@ -1,21 +1,24 @@
-"""Candidate drawing, filtering, and the two generation engines.
+"""Candidate drawing, filtering, and the one round loop behind both engines.
 
 The public operations ``draw_candidate`` and ``filter_candidate`` define the
 reference semantics: one candidate at a time, four checks in a fixed order
 (center feasibility by sign flip at draw time, then distance band, objective
-improvement, dissimilarity).  The engines process candidates in blocks for
-speed, but consume the random stream in the same word order and push every
-value through the same row kernels, so their accept/reject decisions, stats,
-and output instances match a one-at-a-time replay exactly.  They decide
-likeness to the bounding rows with ``BoundingScreen``, which gives the
+improvement, dissimilarity).  Both engines run the master/worker round
+protocol in ``_generate``: the sequential engine is one producer on stream 0,
+the parallel engine one producer per worker on streams 1..L, stepped in
+worker order on the calling thread.  Producers process candidates in blocks
+for speed, but consume the random stream in the same word order and push
+every value through the same row kernels, so the accept/reject decisions,
+stats, and output instances match a one-at-a-time replay exactly.  They
+decide likeness to the bounding rows with ``BoundingScreen``, which gives the
 verdict of a dense index of those rows without storing them.
 """
 from __future__ import annotations
 
 import enum
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,16 +196,13 @@ class _CandidateFeed:
 
 class _StreamWalker:
     """Sequential view over a feed: yields survivors in exact stream order
-    while tallying rejections and enforcing the attempt budget."""
+    while tallying the draws examined and rejected on the way."""
 
-    def __init__(self, feed: _CandidateFeed, max_attempts: int):
+    def __init__(self, feed: _CandidateFeed):
         self._feed = feed
-        self._max = max_attempts
         self.examined = 0
         self.rej_distance = 0
         self.rej_objective = 0
-        self.rej_similarity = 0
-        self.attempts = 0          # consecutive examined draws without an acceptance
         self._block: _Block | None = None
         self._si = 0
         self._prev = -1
@@ -214,39 +214,17 @@ class _StreamWalker:
         self.rej_objective += _cum_at(blk.cum_rej_objective, pos) - _cum_at(blk.cum_rej_objective, self._prev)
         self._prev = pos
 
-    def _stats(self) -> GenerationStats:
-        return GenerationStats(
-            candidates_drawn=self.examined,
-            rejected_distance=self.rej_distance,
-            rejected_objective=self.rej_objective,
-            rejected_similarity=self.rej_similarity,
-        )
-
-    def stalled(self) -> GenerationStalledError:
-        reason = _dominating_reason(self.rej_distance, self.rej_objective, self.rej_similarity)
-        return GenerationStalledError(
-            f"no acceptance within {self._max} consecutive draws "
-            f"(dominating reason: {reason})",
-            self._stats(),
-        )
-
-    def _stall_in_gap(self) -> None:
-        # The budget crossing happens strictly between survivors; cut the
-        # counters at the exact crossing candidate before raising.
+    def _cut_after(self, count: int) -> None:
+        # Consume up to and including the count-th examined draw from here.
         blk = self._block
-        need = self._max - self.attempts
-        target = _cum_at(blk.cum_examined, self._prev) + need
-        cut = int(np.searchsorted(blk.cum_examined, target))
-        self._consume_to(cut)
-        self.attempts = self._max
-        raise self.stalled()
+        target = _cum_at(blk.cum_examined, self._prev) + count
+        self._consume_to(int(np.searchsorted(blk.cum_examined, target)))
 
-    def note_similarity_rejection(self) -> None:
-        self.rej_similarity += 1
-        if self.attempts >= self._max:
-            raise self.stalled()
-
-    def next_survivor(self) -> tuple[np.ndarray, float]:
+    def next_survivor(self, room: int) -> tuple[np.ndarray, float, int] | None:
+        """The next survivor as (a, b, draws), where draws counts the examined
+        draws up to and including it; None when ``room`` examined draws
+        would all be rejections, with the counters cut at the room-th."""
+        draws = 0
         while True:
             if self._block is None:
                 self._block = self._feed.next_block()
@@ -257,30 +235,114 @@ class _StreamWalker:
                 pos = int(blk.survivors[self._si])
                 self._si += 1
                 pre = _cum_at(blk.cum_examined, pos - 1) - _cum_at(blk.cum_examined, self._prev)
-                if self.attempts + pre >= self._max:
-                    self._stall_in_gap()
+                if draws + pre >= room:
+                    self._cut_after(room - draws)
+                    return None
                 self._consume_to(pos)
-                self.attempts += pre + 1
-                return blk.a[pos], float(blk.b[pos])
+                return blk.a[pos], float(blk.b[pos]), draws + pre + 1
             last = blk.size - 1
             tail = _cum_at(blk.cum_examined, last) - _cum_at(blk.cum_examined, self._prev)
-            if self.attempts + tail >= self._max:
-                self._stall_in_gap()
+            if draws + tail >= room:
+                self._cut_after(room - draws)
+                return None
             self._consume_to(last)
-            self.attempts += tail
+            draws += tail
             self._block = None
 
 
-def _dominating_reason(rej_distance: int, rej_objective: int, rej_similarity: int) -> str:
-    counts = {
-        "rejected_distance": rej_distance,
-        "rejected_objective": rej_objective,
-        "rejected_similarity": rej_similarity,
-    }
-    return max(counts, key=counts.get)
+# --- the round loop ---------------------------------------------------------
 
 
-# --- engines ----------------------------------------------------------------
+def _generate(
+    params: GeneratorParams, stream_ids: Sequence[int]
+) -> tuple[LPInstance, GenerationStats]:
+    """Run the round protocol with one producer per stream id.
+
+    Each round steps the producers in stream order on the calling thread.  A
+    producer walks its stream to the next survivor of the distance and
+    objective stages that is not alike to a bounding row and submits it; the
+    coordinator rejects a submission alike to an accepted row, and once d
+    rows are accepted counts the rest of the round as discarded_surplus.
+    Producers never see the coordinator's state, so judging each submission
+    as it arrives gives the verdicts of judging the whole round afterwards.
+
+    One budget covers all producers: max_attempts examined draws in a row,
+    in the order the producers are stepped, without an acceptance stall the
+    run, with the counters cut at that draw.  Stream 0 is the sequential
+    engine's, which reports no rounds and no coordinator share.
+    """
+    _require_valid(params)
+    t0 = time.perf_counter()
+    n, d, budget = params.n, params.d, params.max_attempts
+    support = build_support(n, params.alpha)
+    c = build_objective(n, params.theta)
+    h = hypercube_center(n, params.alpha)
+    screen = BoundingScreen(n, params.alpha, params.l_max, params.s_min)
+    index = SimilarityIndex(n, params.l_max, params.s_min, capacity=d + 1)
+    walkers = [
+        _StreamWalker(_CandidateFeed(derive_stream(params.seed, s), params, h, c))
+        for s in stream_ids
+    ]
+    sequential = list(stream_ids) == [0]
+    accepted: list[Inequality] = []
+    rej_similarity = coord_rej = discarded = rounds = 0
+    attempts = 0  # examined draws since the last acceptance, over all producers
+
+    def stats() -> GenerationStats:
+        # candidates_drawn counts draws that reached a terminal fate; the
+        # surplus submissions thrown away once d was reached are tallied apart.
+        return GenerationStats(
+            candidates_drawn=sum(w.examined for w in walkers) - discarded,
+            rejected_distance=sum(w.rej_distance for w in walkers),
+            rejected_objective=sum(w.rej_objective for w in walkers),
+            rejected_similarity=rej_similarity,
+            coordinator_rejected_similarity=0 if sequential else coord_rej,
+            discarded_surplus=discarded,
+            rounds=0 if sequential else rounds,
+            wall_time_ms=(time.perf_counter() - t0) * 1000.0,
+        )
+
+    def stalled() -> GenerationStalledError:
+        s = stats()
+        counts = {
+            "rejected_distance": s.rejected_distance,
+            "rejected_objective": s.rejected_objective,
+            "rejected_similarity": s.rejected_similarity,
+        }
+        reason = max(counts, key=counts.get)
+        return GenerationStalledError(
+            f"no acceptance within {budget} consecutive draws (dominating reason: {reason})", s
+        )
+
+    while len(accepted) < d:
+        rounds += 1
+        for walker in walkers:
+            while True:
+                survivor = walker.next_survivor(budget - attempts)
+                if survivor is None:
+                    raise stalled()
+                a, b, draws = survivor
+                attempts += draws
+                if not screen.any_alike(a, b):
+                    break
+                rej_similarity += 1
+                if attempts >= budget:
+                    raise stalled()
+            if len(accepted) == d:
+                discarded += 1
+            elif index.any_alike(a, b):
+                rej_similarity += 1
+                coord_rej += 1
+                if attempts >= budget:
+                    raise stalled()
+            else:
+                q = Inequality(a, b)
+                accepted.append(q)
+                index.append(q.a, q.b)
+                attempts = 0
+
+    instance = LPInstance(n=n, support=tuple(support), random=tuple(accepted), c=c, params=params)
+    return instance, stats()
 
 
 def generate_sequential(params: GeneratorParams) -> tuple[LPInstance, GenerationStats]:
@@ -290,152 +352,17 @@ def generate_sequential(params: GeneratorParams) -> tuple[LPInstance, Generation
     unusable parameter set and GenerationStalledError when max_attempts
     consecutive candidates fail, naming the dominating rejection reason.
     """
-    _require_valid(params)
-    t0 = time.perf_counter()
-    n, d = params.n, params.d
-    support = build_support(n, params.alpha)
-    c = build_objective(n, params.theta)
-    h = hypercube_center(n, params.alpha)
-
-    accepted: list[Inequality] = []
-    walker: _StreamWalker | None = None
-    if d > 0:
-        feed = _CandidateFeed(derive_stream(params.seed, 0), params, h, c)
-        screen = BoundingScreen(n, params.alpha, params.l_max, params.s_min)
-        index = SimilarityIndex(n, params.l_max, params.s_min, capacity=d + 1)
-        walker = _StreamWalker(feed, params.max_attempts)
-        try:
-            while len(accepted) < d:
-                a, b = walker.next_survivor()
-                if screen.any_alike(a, b) or index.any_alike(a, b):
-                    walker.note_similarity_rejection()
-                else:
-                    q = Inequality(a, b)
-                    accepted.append(q)
-                    index.append(q.a, q.b)
-                    walker.attempts = 0
-        except GenerationStalledError as err:
-            wall = (time.perf_counter() - t0) * 1000.0
-            raise GenerationStalledError(
-                str(err), replace(err.stats, wall_time_ms=wall)
-            ) from None
-
-    wall = (time.perf_counter() - t0) * 1000.0
-    if walker is None:
-        stats = GenerationStats(0, 0, 0, 0, wall_time_ms=wall)
-    else:
-        stats = replace(walker._stats(), wall_time_ms=wall)
-    instance = LPInstance(n=n, support=tuple(support), random=tuple(accepted), c=c, params=params)
-    return instance, stats
-
-
-class _Worker:
-    """One parallel producer: filters candidates from its own stream against
-    the distance, objective, and support-similarity conditions."""
-
-    def __init__(self, params, stream, h, c, screen):
-        self.walker = _StreamWalker(_CandidateFeed(stream, params, h, c), params.max_attempts)
-        self._screen = screen
-
-    def next_submission(self) -> tuple[np.ndarray, float]:
-        while True:
-            a, b = self.walker.next_survivor()
-            if self._screen.any_alike(a, b):
-                self.walker.note_similarity_rejection()
-                continue
-            self.walker.attempts = 0
-            return a, b
+    return _generate(params, (0,))
 
 
 def generate_parallel(params: GeneratorParams) -> tuple[LPInstance, GenerationStats]:
     """Generate one instance with ``params.workers`` producer streams.
 
-    Round protocol: each worker submits one pre-filtered candidate per round;
-    the coordinator examines submissions in worker order, rejects those alike
-    to an already accepted random inequality, and stops at d acceptances,
-    discarding the surplus of the final round.  Output depends only on (seed,
-    workers), never on thread scheduling.
+    Round protocol: worker l draws from stream l and submits one pre-filtered
+    candidate per round; the coordinator examines submissions in worker
+    order, rejects those alike to an already accepted random inequality, and
+    stops at d acceptances, discarding the surplus of the final round.  The
+    producers are stepped in worker order on the calling thread, so output
+    depends only on (seed, workers).
     """
-    _require_valid(params)
-    t0 = time.perf_counter()
-    n, d, L = params.n, params.d, params.workers
-    support = build_support(n, params.alpha)
-    c = build_objective(n, params.theta)
-    h = hypercube_center(n, params.alpha)
-
-    accepted: list[Inequality] = []
-    coord_rej = 0
-    discarded = 0
-    rounds = 0
-    workers: list[_Worker] = []
-
-    def merged_stats(wall: float) -> GenerationStats:
-        # candidates_drawn counts draws that reached a terminal fate, so the
-        # conservation identity holds for this engine too; the surplus
-        # submissions thrown away once d was reached are tallied separately.
-        examined = sum(w.walker.examined for w in workers)
-        return GenerationStats(
-            candidates_drawn=examined - discarded,
-            rejected_distance=sum(w.walker.rej_distance for w in workers),
-            rejected_objective=sum(w.walker.rej_objective for w in workers),
-            rejected_similarity=sum(w.walker.rej_similarity for w in workers) + coord_rej,
-            coordinator_rejected_similarity=coord_rej,
-            discarded_surplus=discarded,
-            rounds=rounds,
-            wall_time_ms=wall,
-        )
-
-    def merged_stall(message: str) -> GenerationStalledError:
-        wall = (time.perf_counter() - t0) * 1000.0
-        stats = merged_stats(wall)
-        return GenerationStalledError(message, stats)
-
-    if d > 0:
-        screen = BoundingScreen(n, params.alpha, params.l_max, params.s_min)
-        accepted_index = SimilarityIndex(n, params.l_max, params.s_min, capacity=d + 1)
-        workers = [
-            _Worker(params, derive_stream(params.seed, l), h, c, screen)
-            for l in range(1, L + 1)
-        ]
-        examined_at_accept = 0
-        with ThreadPoolExecutor(max_workers=L) as pool:
-            while len(accepted) < d:
-                futures = [pool.submit(w.next_submission) for w in workers]
-                outcomes = []
-                failure: GenerationStalledError | None = None
-                for f in futures:
-                    try:
-                        outcomes.append(f.result())
-                    except GenerationStalledError as err:
-                        failure = failure or err
-                        outcomes.append(None)
-                rounds += 1
-                if failure is not None:
-                    raise merged_stall(str(failure)) from None
-                accepted_this_round = False
-                for a, b in outcomes:
-                    if len(accepted) == d:
-                        discarded += 1
-                        continue
-                    if accepted_index.any_alike(a, b):
-                        coord_rej += 1
-                        continue
-                    q = Inequality(a, b)
-                    accepted.append(q)
-                    accepted_index.append(q.a, q.b)
-                    accepted_this_round = True
-                if len(accepted) < d:
-                    total = sum(w.walker.examined for w in workers)
-                    if accepted_this_round:
-                        examined_at_accept = total
-                    elif total - examined_at_accept >= params.max_attempts:
-                        raise merged_stall(
-                            f"no acceptance within {total - examined_at_accept} draws "
-                            "across all workers (dominating reason: rejected_similarity "
-                            "at the coordinator)"
-                        )
-
-    wall = (time.perf_counter() - t0) * 1000.0
-    stats = merged_stats(wall)
-    instance = LPInstance(n=n, support=tuple(support), random=tuple(accepted), c=c, params=params)
-    return instance, stats
+    return _generate(params, range(1, params.workers + 1))

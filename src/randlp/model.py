@@ -161,12 +161,14 @@ class GenerationStats:
         candidates_drawn = accepted + rejected_distance
                          + rejected_objective + rejected_similarity
 
-    For the parallel engine, rejected_similarity covers both sides of the
-    protocol (worker checks against the bounding rows, coordinator checks
-    against the accepted random rows); coordinator_rejected_similarity is the
-    coordinator-side share of it.  Submissions discarded unprocessed when the
-    target d was reached mid-round have no fate: they are excluded from
-    candidates_drawn and tallied in discarded_surplus, and
+    rejected_similarity covers both sides of the protocol (producer checks
+    against the bounding rows, coordinator checks against the accepted random
+    rows).  For the parallel engine, whose producers are stepped in worker
+    order on the calling thread, coordinator_rejected_similarity is the
+    coordinator-side share of it; the sequential engine reports it as 0.
+    Submissions discarded unprocessed when the target d was reached mid-round
+    have no fate: they are excluded from candidates_drawn and tallied in
+    discarded_surplus, and
 
         rounds * workers = accepted + coordinator_rejected_similarity
                          + discarded_surplus

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from randlp import (
     GeneratorParams,
     generate_parallel,
     generate_sequential,
+    instance_to_text,
     validate_instance,
 )
 
@@ -115,3 +117,53 @@ def test_parallel_single_worker_matches_own_replay():
     assert a == b
     assert sa.candidates_drawn == sb.candidates_drawn
     assert validate_instance(a).ok
+
+
+def test_parallel_stall_budget_counts_draws_over_all_workers():
+    # worker 1's stream opens with 50 straight rejections; one budget covers
+    # every worker, so the run stops at that 50th draw
+    params = make_params(workers=4, max_attempts=50)
+    with pytest.raises(GenerationStalledError) as exc:
+        generate_parallel(params)
+    assert str(exc.value) == (
+        "no acceptance within 50 consecutive draws "
+        "(dominating reason: rejected_distance)"
+    )
+    stats = exc.value.stats
+    assert stats.candidates_drawn == 50
+    assert stats.rejected_distance == 33
+    assert stats.rejected_objective == 17
+    assert stats.rejected_similarity == 0
+    assert stats.rounds == 1
+
+
+def test_parallel_stall_at_a_coordinator_rejection():
+    # with b_max=1 every offset is near 0 and the survivors crowd into one
+    # cone: worker 1's first submission is accepted after 4 draws, and the
+    # coordinator rejects the submissions of workers 2 and 3 as alike to it,
+    # the second of them being the 20th draw since that acceptance
+    params = make_params(workers=4, max_attempts=20, b_max=1.0, rho=1.0)
+    with pytest.raises(GenerationStalledError) as exc:
+        generate_parallel(params)
+    assert str(exc.value) == (
+        "no acceptance within 20 consecutive draws "
+        "(dominating reason: rejected_distance)"
+    )
+    stats = exc.value.stats
+    assert stats.candidates_drawn == 24
+    assert stats.rejected_distance == 11
+    assert stats.rejected_objective == 10
+    assert stats.rejected_similarity == stats.coordinator_rejected_similarity == 2
+    assert stats.discarded_surplus == 0
+    assert stats.rounds == 1
+
+
+def test_parallel_starts_no_thread(monkeypatch):
+    params = make_params(workers=4)
+    want = instance_to_text(generate_parallel(params)[0])
+
+    def refuse(self):
+        raise AssertionError("thread started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert instance_to_text(generate_parallel(params)[0]) == want
