@@ -16,16 +16,21 @@ from .validator import validate_instance
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(GeneratorParams)}
 
 
-def _add_generator_args(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--n", type=int, required=True, help="number of variables")
-    ap.add_argument("--d", type=int, default=0, help="number of random inequalities")
-    ap.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"], help="hypercube side")
-    ap.add_argument("--theta", type=float, default=_DEFAULTS["theta"], help="near-ball radius")
+def _add_unstored_args(ap: argparse.ArgumentParser) -> None:
+    """The acceptance bounds an instance file does not record."""
     ap.add_argument("--rho", type=float, default=_DEFAULTS["rho"], help="exclusion-ball radius")
     ap.add_argument("--lmax", dest="l_max", type=float, default=_DEFAULTS["l_max"],
                     help="direction likeness bound")
     ap.add_argument("--smin", dest="s_min", type=float, default=_DEFAULTS["s_min"],
                     help="offset likeness bound")
+
+
+def _add_generator_args(ap: argparse.ArgumentParser) -> None:
+    ap.add_argument("--n", type=int, required=True, help="number of variables")
+    ap.add_argument("--d", type=int, default=0, help="number of random inequalities")
+    ap.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"], help="hypercube side")
+    ap.add_argument("--theta", type=float, default=_DEFAULTS["theta"], help="near-ball radius")
+    _add_unstored_args(ap)
     ap.add_argument("--amax", dest="a_max", type=float, default=_DEFAULTS["a_max"],
                     help="coefficient magnitude bound")
     ap.add_argument("--bmax", dest="b_max", type=float, default=_DEFAULTS["b_max"],
@@ -62,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="check an instance file")
     val.add_argument("--in", dest="infile", required=True)
+    _add_unstored_args(val)
 
     ren = sub.add_parser("render", help="draw a 2-D instance as SVG")
     ren.add_argument("--in", dest="infile", required=True)
@@ -95,7 +101,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    report = validate_instance(read_instance(args.infile))
+    inst = read_instance(args.infile)
+    params = dataclasses.replace(inst.params, rho=args.rho, l_max=args.l_max, s_min=args.s_min)
+    report = validate_instance(dataclasses.replace(inst, params=params))
     if report.ok:
         print("ok")
         return 0

@@ -139,7 +139,14 @@ def _cum_at(cum: np.ndarray, pos: int) -> int:
 
 class _CandidateFeed:
     """Draws candidate blocks off one stream, pre-running the two stateless
-    stages (distance band, objective improvement) vectorized."""
+    stages (distance band, objective improvement) vectorized.
+
+    Blocks start at 64 candidates and double up to a cap of about 256k
+    words, so a producer that needs few survivors (one of many workers, or
+    a small d) draws little beyond them.  Blocks are consecutive slices of
+    the stream, so the size schedule never changes which words a candidate
+    gets.
+    """
 
     def __init__(self, stream: RngStream, params: GeneratorParams, h: np.ndarray, c: np.ndarray):
         self._stream = stream
@@ -149,12 +156,14 @@ class _CandidateFeed:
         self._f_h = objective_value(c, h)
         words_per = 2 * (params.n + 1)
         self._words_per = words_per
-        self._size = max(16, min(4096, 262144 // words_per))
+        self._cap = max(16, min(4096, 262144 // words_per))
+        self._size = min(64, self._cap)
 
     def next_block(self) -> _Block:
         p = self._p
         n = p.n
         size = self._size
+        self._size = min(2 * size, self._cap)
         w = self._stream.raw_words(size * self._words_per).reshape(size, self._words_per)
         signs = words_to_signs(w[:, : n + 1])
         units = words_to_units(w[:, n + 1 :])
@@ -262,7 +271,8 @@ def _generate(
     producer walks its stream to the next survivor of the distance and
     objective stages that is not alike to a bounding row and submits it; the
     coordinator rejects a submission alike to an accepted row, and once d
-    rows are accepted counts the rest of the round as discarded_surplus.
+    rows are accepted counts the producers not yet stepped in that round as
+    discarded_surplus, without stepping them.
     Producers never see the coordinator's state, so judging each submission
     as it arrives gives the verdicts of judging the whole round afterwards.
 
@@ -289,10 +299,10 @@ def _generate(
     attempts = 0  # examined draws since the last acceptance, over all producers
 
     def stats() -> GenerationStats:
-        # candidates_drawn counts draws that reached a terminal fate; the
-        # surplus submissions thrown away once d was reached are tallied apart.
+        # Every examined draw reached a terminal fate: the surplus producers
+        # of the final round are never stepped, and are tallied apart.
         return GenerationStats(
-            candidates_drawn=sum(w.examined for w in walkers) - discarded,
+            candidates_drawn=sum(w.examined for w in walkers),
             rejected_distance=sum(w.rej_distance for w in walkers),
             rejected_objective=sum(w.rej_objective for w in walkers),
             rejected_similarity=rej_similarity,
@@ -316,7 +326,10 @@ def _generate(
 
     while len(accepted) < d:
         rounds += 1
-        for walker in walkers:
+        for k, walker in enumerate(walkers):
+            if len(accepted) == d:
+                discarded += len(walkers) - k
+                break
             while True:
                 survivor = walker.next_survivor(budget - attempts)
                 if survivor is None:
@@ -328,9 +341,7 @@ def _generate(
                 rej_similarity += 1
                 if attempts >= budget:
                     raise stalled()
-            if len(accepted) == d:
-                discarded += 1
-            elif index.any_alike(a, b):
+            if index.any_alike(a, b):
                 rej_similarity += 1
                 coord_rej += 1
                 if attempts >= budget:

@@ -68,12 +68,35 @@ def likeness(q1: Inequality, q2: Inequality, l_max: float, s_min: float) -> bool
     return gap < l_max and off < s_min
 
 
+# Absolute slack on the squared direction gap when shortlisting rows by a
+# dot product.  The identity gap^2 = |v|^2 + |u|^2 - 2<v, u> differs from
+# the rounded row kernel by a few ulps times n, far below this.
+_GAP_SQ_MARGIN = 1e-6
+
+
+def direction_cut(mean_sumsq, l_max: float):
+    """Dot-product bound for a shortlist of likely-alike unit rows.
+
+    For rows v, u with ``(|v|^2 + |u|^2)/2 >= mean_sumsq``, a gap
+    ``|v - u| < l_max`` needs ``<v, u> > mean_sumsq - l_max^2/2``; the cut
+    lowers that by half of ``_GAP_SQ_MARGIN`` so rounding cannot drop a
+    row the exact gap would keep.  Squared norms of normalized rows are 1
+    up to rounding, and smaller only when a norm under- or overflowed.
+    Works elementwise on an array of ``mean_sumsq``.
+    """
+    return mean_sumsq - (l_max * l_max + _GAP_SQ_MARGIN) / 2.0
+
+
 class SimilarityIndex:
     """Normalized constraint rows supporting batched likeness queries.
 
-    Stores one unit normal and one normalized offset per constraint.  The
-    normalization and gap arithmetic reuse the shared row kernels, so a query
-    here decides exactly like pairwise ``likeness`` calls.
+    Stores one unit normal and one normalized offset per constraint.  A
+    query shortlists the rows with one matrix-vector product against
+    ``direction_cut`` and with the offset test, then rechecks only those rows
+    with ``row_norms(unit - u) < l_max``, the kernel and unit rows a dense
+    comparison of every row would use, so its verdict is the dense one bit
+    for bit and pairwise ``likeness`` calls decide the same way.  A query
+    builds one vector per stored row, not a rows x n difference matrix.
     """
 
     def __init__(self, n: int, l_max: float, s_min: float, capacity: int = 8):
@@ -84,6 +107,7 @@ class SimilarityIndex:
         self._units = np.empty((cap, n), dtype=np.float64)
         self._offsets = np.empty(cap, dtype=np.float64)
         self._count = 0
+        self._min_sumsq = 1.0  # smallest squared norm of a stored unit row
 
     @classmethod
     def from_inequalities(
@@ -106,6 +130,7 @@ class SimilarityIndex:
             idx._units[:k] = a / norms[:, None]
             idx._offsets[:k] = b / norms
             idx._count = k
+            idx._min_sumsq = float(np.fmin.reduce(row_sumsq(idx._units[:k]), initial=1.0))
         return idx
 
     def __len__(self) -> int:
@@ -119,9 +144,13 @@ class SimilarityIndex:
             grow = max(8, self._units.shape[0])
             self._units = np.concatenate([self._units, np.empty((grow, self._n))])
             self._offsets = np.concatenate([self._offsets, np.empty(grow)])
-        self._units[self._count] = a / nrm
+        unit = a / nrm
+        self._units[self._count] = unit
         self._offsets[self._count] = b / nrm
         self._count += 1
+        # min() keeps its first argument against nan: a nan row is never
+        # alike to anything, so it must not disable the cut
+        self._min_sumsq = min(self._min_sumsq, float(row_sumsq(unit)))
 
     def any_alike(self, a: np.ndarray, b: float) -> bool:
         nrm = float(row_norms(a))
@@ -131,15 +160,12 @@ class SimilarityIndex:
             return False
         u = a / nrm
         beta = b / nrm
-        gaps = row_norms(self._units[: self._count] - u)
-        offs = np.abs(self._offsets[: self._count] - beta)
-        return bool(np.any((gaps < self._l_max) & (offs < self._s_min)))
-
-
-# Absolute slack on the squared direction gap when shortlisting bounding
-# rows.  The closed form 2 - 2*u_j differs from the rounded row kernel by a
-# few ulps times n, far below this.
-_GAP_SQ_MARGIN = 1e-6
+        units = self._units[: self._count]
+        cut = direction_cut(min(self._min_sumsq, float(row_sumsq(u))), self._l_max)
+        near = np.flatnonzero(
+            (units @ u > cut) & (np.abs(self._offsets[: self._count] - beta) < self._s_min)
+        )
+        return bool(near.size) and bool(np.any(row_norms(units[near] - u) < self._l_max))
 
 
 class BoundingScreen:
@@ -153,10 +179,10 @@ class BoundingScreen:
     * the diagonal row has unit normal ones/sqrt(n).
 
     So one scalar offset test covers each family of n rows, and a direction
-    gap below l_max needs +-u_j above 1 - l_max^2/2 (less a margin).  Every
-    shortlisted row is rechecked with ``row_norms(unit - u)`` on the same
-    unit row a dense ``SimilarityIndex`` of the bounding rows holds, so the
-    verdict equals that index's ``any_alike`` bit for bit, in O(n).
+    gap below l_max needs +-u_j above ``direction_cut``, about 1 - l_max^2/2.
+    Every shortlisted row is rechecked with ``row_norms(unit - u)`` on the
+    same unit row a dense ``SimilarityIndex`` of the bounding rows holds, so
+    the verdict equals that index's ``any_alike`` bit for bit, in O(n).
     """
 
     def __init__(self, n: int, alpha: float, l_max: float, s_min: float):
@@ -164,15 +190,14 @@ class BoundingScreen:
         self._alpha = float(alpha)
         self._l_max = l_max
         self._s_min = s_min
-        self._cut = 1.0 - (l_max * l_max + _GAP_SQ_MARGIN) / 2.0
         ones = np.ones(n)
         nrm = float(row_norms(ones))
         self._diag_unit = ones / nrm
         self._diag_offset = float(diagonal_rhs(n, alpha)) / nrm
 
-    def _axis_alike(self, u: np.ndarray, coef: float) -> bool:
+    def _axis_alike(self, u: np.ndarray, coef: float, cut: float) -> bool:
         """Any row coef * e_j within l_max of u, shortlisted by coef * u_j."""
-        for j in np.flatnonzero(coef * u > self._cut):
+        for j in np.flatnonzero(coef * u > cut):
             unit = np.zeros(self._n)
             unit[j] = coef
             if row_norms(unit - u) < self._l_max:
@@ -186,9 +211,10 @@ class BoundingScreen:
         u = a / nrm
         beta = b / nrm
         s_min = self._s_min
-        if abs(self._alpha - beta) < s_min and self._axis_alike(u, 1.0):
+        cut = direction_cut(min(1.0, float(row_sumsq(u))), self._l_max)
+        if abs(self._alpha - beta) < s_min and self._axis_alike(u, 1.0, cut):
             return True
-        if abs(beta) < s_min and self._axis_alike(u, -1.0):
+        if abs(beta) < s_min and self._axis_alike(u, -1.0, cut):
             return True
         return bool(
             abs(self._diag_offset - beta) < s_min

@@ -166,8 +166,8 @@ class GenerationStats:
     rows).  For the parallel engine, whose producers are stepped in worker
     order on the calling thread, coordinator_rejected_similarity is the
     coordinator-side share of it; the sequential engine reports it as 0.
-    Submissions discarded unprocessed when the target d was reached mid-round
-    have no fate: they are excluded from candidates_drawn and tallied in
+    Once the target d is reached mid-round, the producers not yet stepped in
+    that round draw nothing: each counts as one discarded submission in
     discarded_surplus, and
 
         rounds * workers = accepted + coordinator_rejected_similarity

@@ -21,6 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import (
+    direction_cut,
     distance_to_center,
     hypercube_center,
     likeness,
@@ -28,6 +29,7 @@ from .geometry import (
     project_center,
     row_dots,
     row_norms,
+    row_sumsq,
 )
 from .model import Inequality, LPInstance, UnsupportedDimensionError
 from .support import build_objective, build_support, support_only_solution
@@ -123,41 +125,56 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     return ValidationReport(not out, tuple(out))
 
 
-def _pairwise_likeness_violations(rows, usable, l_max, s_min):
-    """All-pairs dissimilarity check.
+# Rows of the upper-triangle Gram slab computed at a time: the slab holds
+# _PAIR_BLOCK x m dot products, so memory grows with m, not m^2.
+_PAIR_BLOCK = 256
 
-    A BLAS Gram matrix narrows the candidate pairs (with a safety margin on
-    the direction-gap bound), then each shortlisted pair is rechecked with the
-    exact scalar predicate, so the verdict never depends on BLAS summation
-    order.
+
+def _pairwise_likeness_violations(rows, usable, l_max, s_min):
+    """All-pairs dissimilarity check, in row-major (i, j) order.
+
+    The usable rows are walked in blocks of ``_PAIR_BLOCK``: each block's
+    slab ``units[lo:hi] @ units[lo+1:].T`` shortlists the pairs above their
+    ``direction_cut`` (a safety margin on the direction-gap bound), the
+    offset test runs on those pairs only, and each survivor is rechecked
+    with the exact scalar predicate, so the verdict never depends on BLAS
+    summation order.  Peak memory is O(_PAIR_BLOCK * m), not O(m^2).
     """
-    idx = np.nonzero(usable)[0]
-    if idx.size < 2:
+    idx = np.flatnonzero(usable)
+    k = idx.size
+    if k < 2:
         return []
     a = np.stack([rows[i].a for i in idx])
     b = np.array([rows[i].b for i in idx])
     nrm = row_norms(a)
     units = a / nrm[:, None]
     beta = b / nrm
-    gram = units @ units.T
-    gap_sq = 2.0 - 2.0 * gram
-    near = (gap_sq < l_max * l_max + 1e-6) & (
-        np.abs(beta[:, None] - beta[None, :]) < s_min
-    )
-    near &= np.triu(np.ones_like(near, dtype=bool), k=1)
+    # <v_i, v_j> > (|v_i|^2 + |v_j|^2)/2 - l_max^2/2, per pair: a row whose
+    # norm under- or overflowed lowers only its own cut
+    half_sq = row_sumsq(units) / 2.0
+    cut = direction_cut(half_sq, l_max)
     out = []
-    for i, j in np.argwhere(near):
-        qi, qj = rows[idx[i]], rows[idx[j]]
-        if likeness(qi, qj, l_max, s_min):
-            gap = float(row_norms(qi.a / float(row_norms(qi.a)) - qj.a / float(row_norms(qj.a))))
-            out.append(
-                Violation(
-                    int(idx[j]),
-                    f"alike with constraint {int(idx[i])}",
-                    f"direction gap {gap:.6g}",
-                    f"< {l_max:g} is too similar",
+    for lo in range(0, k - 1, _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, k - 1)
+        slab = units[lo:hi] @ units[lo + 1 :].T
+        slab -= half_sq[lo + 1 :]
+        ii, jj = np.nonzero(slab > cut[lo:hi, None])
+        del slab  # free it before the next block's slab is allocated
+        ii += lo
+        jj += lo + 1
+        keep = (jj > ii) & (np.abs(beta[ii] - beta[jj]) < s_min)
+        for i, j in zip(ii[keep].tolist(), jj[keep].tolist()):
+            qi, qj = rows[idx[i]], rows[idx[j]]
+            if likeness(qi, qj, l_max, s_min):
+                gap = float(row_norms(qi.a / float(row_norms(qi.a)) - qj.a / float(row_norms(qj.a))))
+                out.append(
+                    Violation(
+                        int(idx[j]),
+                        f"alike with constraint {int(idx[i])}",
+                        f"direction gap {gap:.6g}",
+                        f"< {l_max:g} is too similar",
+                    )
                 )
-            )
     return out
 
 

@@ -1,13 +1,17 @@
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from randlp import (
     GeneratorParams,
     generate_parallel,
     read_instance,
     run_cli,
+    validate_params,
 )
 
 GEN = ["gen", "--n", "2", "--d", "5", "--seed", "42"]
@@ -185,3 +189,57 @@ def test_non_finite_params_exit_2(capsys, flags, violation):
 def test_n1_with_s_min_above_half_alpha_exits_2(capsys):
     assert run_cli(["gen", "--n", "1", "--d", "0", "--smin", "150"]) == 2
     assert "s_min <= alpha/2 when n = 1" in capsys.readouterr().err
+
+
+def test_validate_takes_the_bounds_the_file_does_not_store(tmp_path, capsys):
+    out = tmp_path / "inst.txt"
+    assert run_cli(["gen", "--n", "2", "--d", "3", "--seed", "1", "--rho", "10",
+                    "--theta", "90", "--out", str(out)]) == 0
+    # the file keeps alpha and theta but not rho: the default rho (50) is
+    # wrong for rows drawn with rho = 10
+    assert run_cli(["validate", "--in", str(out)]) == 1
+    assert "distance > rho" in capsys.readouterr().err
+    assert run_cli(["validate", "--in", str(out), "--rho", "10"]) == 0
+    assert "ok" in capsys.readouterr().out
+
+
+@st.composite
+def accepted_params(draw):
+    """Small parameter sets that validate_params accepts."""
+    n = draw(st.integers(1, 3))
+    alpha = draw(st.floats(1.0, 1000.0))
+    theta = draw(st.floats(0.05, 1.0)) * alpha / 2
+    a_max = draw(st.floats(1.0, 1e4))
+    p = GeneratorParams(
+        n=n,
+        d=draw(st.integers(1, 4)),
+        alpha=alpha,
+        theta=theta,
+        rho=draw(st.floats(0.01, 0.95)) * theta,
+        l_max=draw(st.floats(0.01, 0.7)),
+        s_min=draw(st.floats(0.001, 1.0)) * alpha * (0.5 if n == 1 else 1.0),
+        a_max=a_max,
+        # offsets up to about |a| * alpha * n reach the distance band
+        b_max=draw(st.floats(0.1, 4.0)) * a_max * alpha * n,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        workers=draw(st.integers(1, 3)),
+        max_attempts=20000,
+    )
+    assume(not validate_params(p))
+    return p
+
+
+@given(accepted_params())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_gen_write_read_validate_round_trip(p):
+    bounds = ["--rho", repr(p.rho), "--lmax", repr(p.l_max), "--smin", repr(p.s_min)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = f"{tmp}/inst.txt"
+        rc = run_cli([
+            "gen", "--n", str(p.n), "--d", str(p.d), "--alpha", repr(p.alpha),
+            "--theta", repr(p.theta), "--amax", repr(p.a_max), "--bmax", repr(p.b_max),
+            "--seed", str(p.seed), "--workers", str(p.workers),
+            "--max-attempts", str(p.max_attempts), "--out", out, *bounds,
+        ])
+        assume(rc == 0)  # 1 is a stall: the thresholds left no room for d rows
+        assert run_cli(["validate", "--in", out, *bounds]) == 0

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from randlp import (
@@ -291,6 +291,121 @@ def test_screen_matches_dense_index_at_the_thresholds(n):
         assert BoundingScreen(n, ALPHA, 0.35, 100.0).any_alike(3.0 * unit, 3.0 * offset)
 
 
+@pytest.mark.parametrize("n", SCREEN_NS)
+@given(seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 0.3))
+@settings(max_examples=40, deadline=None)
+def test_screen_matches_dense_index_on_underflowing_rows(n, seed, spread):
+    # Coefficients near 1e-160 square to subnormals, so the unit normal's
+    # squared norm can miss 1 by far more than the shortlist margin; l_max
+    # is set one ulp above the dense gap, so the row is alike.
+    gen = np.random.default_rng(seed)
+    units = bounding_units(n)
+    unit, offset = units[int(gen.integers(len(units)))]
+    a, b = near_row(gen, unit, offset, spread, 0.0, 1e-160)
+    gap = float(row_norms(unit - a / float(row_norms(a))))
+    l_max = float(np.nextafter(gap, 1.0))
+    if l_max < 0.7:
+        assert_screen_matches_dense(n, l_max, 100.0, [(a, b)])
+
+
 def test_screen_rejects_a_zero_row_like_the_index():
     with pytest.raises(ValueError):
         BoundingScreen(3, ALPHA, 0.35, 100.0).any_alike(np.zeros(3), 1.0)
+
+
+# --- shortlisted accepted-row index versus the dense predicate ---------------
+
+
+INDEX_NS = [1, 2, 20, 400]
+
+
+def dense_any_alike(rows, a, b, l_max, s_min):
+    """Every stored row compared in full: the predicate the index's
+    dot-product shortlist must reproduce bit for bit."""
+    A = np.stack([r for r, _ in rows])
+    norms = row_norms(A)
+    units = A / norms[:, None]
+    offsets = np.array([beta for _, beta in rows]) / norms
+    nrm = float(row_norms(a))
+    u, beta = a / nrm, b / nrm
+    return bool(np.any((row_norms(units - u) < l_max) & (np.abs(offsets - beta) < s_min)))
+
+
+def assert_index_matches_dense(n, rows, probes, l_max, s_min):
+    built = SimilarityIndex.from_inequalities(
+        [Inequality(r, beta) for r, beta in rows], n, l_max, s_min
+    )
+    grown = SimilarityIndex(n, l_max, s_min, capacity=1)
+    for r, beta in rows:
+        grown.append(r, beta)
+    for a, b in probes:
+        want = dense_any_alike(rows, a, b, l_max, s_min)
+        assert built.any_alike(a, b) == want, (a, b, l_max, s_min)
+        assert grown.any_alike(a, b) == want, (a, b, l_max, s_min)
+
+
+@pytest.mark.parametrize("n", INDEX_NS)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 40),
+    spread=st.floats(0.0, 1.0),
+    shift=st.floats(-300.0, 300.0),
+    scales=st.lists(st.sampled_from([1e-160, 1e-3, 1.0, 1e3, 1e200]), min_size=2, max_size=2),
+    l_max=st.floats(0.01, 0.7),
+    s_min=st.floats(1.0, 150.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_index_shortlist_matches_dense_predicate(n, seed, k, spread, shift, scales, l_max, s_min):
+    # rows clustered around one direction, a probe near one of them, and an
+    # unrelated probe; tiny or huge scales make the unit rows' norms drift
+    # from 1 (partial underflow) or collapse to 0 (overflow)
+    gen = np.random.default_rng(seed)
+    base = gen.standard_normal(n)
+    rows = []
+    for _ in range(k):
+        v = base + 0.3 * gen.standard_normal(n)
+        if float(row_norms(v)) == 0.0:
+            v = base
+        rows.append((v, float(row_norms(v)) * gen.uniform(-200.0, 200.0)))
+    v, beta = rows[int(gen.integers(k))]
+    nrm = float(row_norms(v))
+    probe = near_row(gen, v / nrm, beta / nrm, spread, shift, scales[1])
+    rows[-1] = (scales[0] * rows[-1][0], scales[0] * rows[-1][1])
+    other = (gen.uniform(-1000.0, 1000.0, n), float(gen.uniform(-1e4, 1e4)))
+    with np.errstate(over="ignore"):  # the squares of 1e200 overflow
+        # a row whose squares all underflow has no direction to compare
+        assume(float(row_norms(rows[-1][0])) > 0.0 and float(row_norms(probe[0])) > 0.0)
+        assert_index_matches_dense(n, rows, [probe, other], l_max, s_min)
+
+
+@pytest.mark.parametrize("n", INDEX_NS)
+def test_index_shortlist_matches_dense_predicate_at_the_thresholds(n):
+    # For stored rows of random direction, a probe tilted to a gap of
+    # l_max +- 1e-12 from one of them, and thresholds set to the exact
+    # rounded gap and offset difference the dense kernel computes, and one
+    # ulp either side of them.
+    gen = np.random.default_rng(n)
+    rows = [(gen.uniform(-1000.0, 1000.0, n), float(gen.uniform(-1e4, 1e4))) for _ in range(30)]
+    for k in (0, 17, 29):
+        v, b_v = rows[k]
+        unit = v / float(row_norms(v))
+        offset = b_v / float(row_norms(v))
+        w = gen.standard_normal(n) if n > 1 else np.zeros(1)
+        w -= row_dots(w, unit) * unit
+        w_nrm = float(row_norms(w))
+        for target in (0.35 - 1e-12, 0.35, 0.35 + 1e-12):
+            angle = 2.0 * math.asin(target / 2.0)
+            u = math.cos(angle) * unit + (math.sin(angle) * w / w_nrm if w_nrm else 0.0)
+            for beta in (offset - 100.0, offset + 100.0, offset + 99.9999):
+                a = 3.0 * u
+                b = 3.0 * float(row_norms(u)) * beta
+                nrm = float(row_norms(a))
+                gap = float(row_norms(unit - a / nrm))
+                off = abs(offset - b / nrm)
+                thresholds = [(0.35, 100.0)] + [
+                    (float(l_max), float(s_min))
+                    for l_max in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, 1.0))
+                    for s_min in (off, np.nextafter(off, 0.0), np.nextafter(off, 1e9))
+                ]
+                for l_max, s_min in thresholds:
+                    assert_index_matches_dense(n, rows, [(a, b)], l_max, s_min)

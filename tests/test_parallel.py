@@ -167,3 +167,20 @@ def test_parallel_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert instance_to_text(generate_parallel(params)[0]) == want
+
+
+def test_parallel_stops_stepping_producers_once_d_rows_are_accepted():
+    # worker 1's first submission is the one row asked for; workers 2-8 are
+    # the round's surplus and draw nothing, so their rejections cannot run
+    # the budget out after the instance is complete
+    params = GeneratorParams(n=2, d=1, seed=1, workers=8, max_attempts=100)
+    inst, stats = generate_parallel(params)
+    assert inst.d == 1
+    assert stats.rounds == 1
+    assert stats.discarded_surplus == 7
+    assert stats.candidates_drawn == 79
+    assert stats.candidates_drawn == (
+        1 + stats.rejected_distance + stats.rejected_objective + stats.rejected_similarity
+    )
+    assert stats.rounds * params.workers == 1 + stats.coordinator_rejected_similarity + stats.discarded_surplus
+    assert validate_instance(inst).ok

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +10,15 @@ from randlp import (
     UnsupportedDimensionError,
     build_objective,
     build_support,
+    generate_parallel,
     generate_sequential,
+    likeness,
     objective_value,
     support_only_solution,
     validate_instance,
     verify_support_solution,
 )
+from randlp import validator
 
 from conftest import make_params
 
@@ -251,3 +255,85 @@ def test_finite_row_whose_norm_overflows_is_not_called_non_finite(demo_instance)
     assert (row, "finite coefficients") not in [
         (v.constraint, v.condition) for v in report.violations
     ]
+
+
+# --- blocked pairwise likeness ------------------------------------------------
+
+
+def alike_violations(report):
+    return [(v.constraint, v.condition) for v in report.violations
+            if v.condition.startswith("alike with")]
+
+
+def all_pairs_reference(inst):
+    """Every pair of usable rows checked with ``likeness``, row-major."""
+    rows = inst.constraints
+    p = inst.params
+    usable = [i for i, q in enumerate(rows) if float(np.abs(q.a).max()) > 0.0]
+    return [
+        (j, f"alike with constraint {i}")
+        for x, i in enumerate(usable)
+        for j in usable[x + 1 :]
+        if likeness(rows[i], rows[j], p.l_max, p.s_min)
+    ]
+
+
+@pytest.fixture(scope="module")
+def tampered_tall():
+    # 341 rows; constraint 100 is zeroed, so usable row k is constraint k+1
+    # from there on and the 256-row block boundary falls between constraints
+    # 256 and 257.  Injected alike pairs: (256, 257) across that boundary,
+    # (5, 300) and (256, 290) from the first block into the second, a copy
+    # of bounding row 0 near the end, and (200, 320), two rows whose norms
+    # overflow, so that both unit normals are 0.
+    inst, _ = generate_sequential(GeneratorParams(n=20, d=300, seed=0))
+    rows = list(inst.constraints)
+    rows[100] = Inequality(np.zeros(20), 1.0)
+    rows[200] = Inequality(1e200 * rows[200].a, 1e200 * rows[200].b)
+    rows[320] = Inequality(1e200 * rows[320].a, 1e200 * rows[320].b)
+    rows[257] = Inequality(2.0 * rows[256].a, 2.0 * rows[256].b)
+    rows[290] = Inequality(0.5 * rows[256].a, 0.5 * rows[256].b + 1.0)
+    tilt = rows[5].a.copy()
+    tilt[0] += 1e-3 * float(np.abs(tilt).max())
+    rows[300] = Inequality(tilt, rows[5].b)
+    rows[330] = Inequality(3.0 * rows[0].a, 3.0 * rows[0].b)
+    k = len(inst.support)
+    bad = replace(inst, support=tuple(rows[:k]), random=tuple(rows[k:]))
+    with np.errstate(over="ignore"):
+        return bad, all_pairs_reference(bad)
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_blocked_pairs_match_all_pairs_reference(tampered_tall, block, monkeypatch):
+    inst, want = tampered_tall
+    assert {(257, "alike with constraint 256"), (300, "alike with constraint 5"),
+            (290, "alike with constraint 256"), (330, "alike with constraint 0"),
+            (320, "alike with constraint 200")} <= set(want)
+    monkeypatch.setattr(validator, "_PAIR_BLOCK", block)
+    rechecks = []
+
+    def counted(*args):
+        rechecks.append(args)
+        return likeness(*args)
+
+    monkeypatch.setattr(validator, "likeness", counted)
+    with np.errstate(over="ignore"):
+        assert alike_violations(validate_instance(inst)) == want
+    # the overflowing rows lower only their own pairs' direction cut, so
+    # the shortlist stays far below the 57,630 pairs
+    assert len(rechecks) < inst.m
+
+
+def test_validation_memory_grows_with_m_not_m_squared():
+    # a tall-par-sized instance: m = 2041 rows, where an m x m Gram matrix
+    # alone would take 8 m^2 = 33 MB
+    inst, _ = generate_parallel(GeneratorParams(n=20, d=2000, seed=0, workers=2))
+    m = inst.m
+    tracemalloc.start()
+    try:
+        report = validate_instance(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 2 * m * m, peak
