@@ -9,7 +9,7 @@ from pathlib import Path
 from .bench import run_benchmark
 from .generator import GenerationStalledError, generate_parallel, generate_sequential
 from .io import ParseError, instance_to_text, read_instance, write_stats
-from .model import GeneratorParams, ParameterError, UnsupportedDimensionError
+from .model import GeneratorParams, ParameterError, UnsupportedDimensionError, bound_violations
 from .svg import render_svg
 from .validator import validate_instance
 
@@ -103,6 +103,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     inst = read_instance(args.infile)
     params = dataclasses.replace(inst.params, rho=args.rho, l_max=args.l_max, s_min=args.s_min)
+    violations = bound_violations(params)
+    if violations:
+        raise ParameterError(violations)
     report = validate_instance(dataclasses.replace(inst, params=params))
     if report.ok:
         print("ok")

@@ -9,9 +9,13 @@ the parallel engine one producer per worker on streams 1..L, stepped in
 worker order on the calling thread.  Producers process candidates in blocks
 for speed, but consume the random stream in the same word order and push
 every value through the same row kernels, so the accept/reject decisions,
-stats, and output instances match a one-at-a-time replay exactly.  They
-decide likeness to the bounding rows with ``BoundingScreen``, which gives the
-verdict of a dense index of those rows without storing them.
+stats, and output instances match a one-at-a-time replay exactly.  A
+producer's three checks depend on the candidate alone, so each runs once
+over a block: the distance band and objective improvement over all its
+candidates, then likeness to the bounding rows over the survivors of those
+two, with ``BoundingScreen.alike_rows``, which gives the verdict of a dense
+index of the bounding rows without storing them.  Only the coordinator's
+check against the accepted rows runs one submission at a time.
 """
 from __future__ import annotations
 
@@ -119,27 +123,27 @@ def filter_candidate(
 # --- block machinery -------------------------------------------------------
 
 # Candidate fates within a block. Zero-norm rows are skipped, never examined.
-_SKIP, _REJ_DIST, _REJ_OBJ, _SURVIVOR = 0, 1, 2, 3
+_SKIP, _REJ_DIST, _REJ_OBJ, _REJ_SIM, _SURVIVOR = range(5)
+
+# A walker's tallies, one row each of a block's cumulative counts.
+_EXAMINED, _DISTANCE, _OBJECTIVE, _SIMILARITY = range(4)
 
 
 @dataclass
 class _Block:
     a: np.ndarray              # (size, n) rows, flipped to center-feasible form
     b: np.ndarray              # (size,)
-    cum_examined: np.ndarray   # inclusive prefix counts over the block
-    cum_rej_distance: np.ndarray
-    cum_rej_objective: np.ndarray
-    survivors: np.ndarray      # ascending positions that passed both stages
+    cum: np.ndarray            # (4, size+1): column k counts the first k rows'
+                               # examined draws and each producer rejection
+    survivors: np.ndarray      # ascending positions that passed all three stages
     size: int
 
 
-def _cum_at(cum: np.ndarray, pos: int) -> int:
-    return 0 if pos < 0 else int(cum[pos])
-
-
 class _CandidateFeed:
-    """Draws candidate blocks off one stream, pre-running the two stateless
-    stages (distance band, objective improvement) vectorized.
+    """Draws candidate blocks off one stream and pre-runs the producer's
+    three stages on them vectorized: distance band and objective
+    improvement over the block, then likeness to the bounding rows over the
+    survivors of those two, in one ``BoundingScreen.alike_rows`` call.
 
     Blocks start at 64 candidates and double up to a cap of about 256k
     words, so a producer that needs few survivors (one of many workers, or
@@ -148,11 +152,19 @@ class _CandidateFeed:
     gets.
     """
 
-    def __init__(self, stream: RngStream, params: GeneratorParams, h: np.ndarray, c: np.ndarray):
+    def __init__(
+        self,
+        stream: RngStream,
+        params: GeneratorParams,
+        h: np.ndarray,
+        c: np.ndarray,
+        screen: BoundingScreen,
+    ):
         self._stream = stream
         self._p = params
         self._h = h
         self._c = c
+        self._screen = screen
         self._f_h = objective_value(c, h)
         words_per = 2 * (params.n + 1)
         self._words_per = words_per
@@ -190,17 +202,15 @@ class _CandidateFeed:
             proj = self._h - t[:, None] * a[stage2]
             improves = row_dots(proj, self._c) > self._f_h
             code[stage2[~improves]] = _REJ_OBJ
-            code[stage2[improves]] = _SURVIVOR
+            stage3 = stage2[improves]
+            alike = self._screen.alike_rows(a[stage3], b[stage3])
+            code[stage3[alike]] = _REJ_SIM
+            code[stage3[~alike]] = _SURVIVOR
 
-        return _Block(
-            a=a,
-            b=b,
-            cum_examined=np.cumsum(code != _SKIP),
-            cum_rej_distance=np.cumsum(code == _REJ_DIST),
-            cum_rej_objective=np.cumsum(code == _REJ_OBJ),
-            survivors=np.nonzero(code == _SURVIVOR)[0],
-            size=size,
-        )
+        fates = np.stack([code != _SKIP, code == _REJ_DIST, code == _REJ_OBJ, code == _REJ_SIM])
+        cum = np.zeros((4, size + 1), dtype=np.int64)
+        np.cumsum(fates, axis=1, out=cum[:, 1:])
+        return _Block(a=a, b=b, cum=cum, survivors=np.flatnonzero(code == _SURVIVOR), size=size)
 
 
 class _StreamWalker:
@@ -209,25 +219,21 @@ class _StreamWalker:
 
     def __init__(self, feed: _CandidateFeed):
         self._feed = feed
-        self.examined = 0
-        self.rej_distance = 0
-        self.rej_objective = 0
+        self.tally = np.zeros(4, dtype=np.int64)  # indexed by _EXAMINED, ...
         self._block: _Block | None = None
         self._si = 0
-        self._prev = -1
+        self._done = 0  # rows of the block already tallied
 
-    def _consume_to(self, pos: int) -> None:
-        blk = self._block
-        self.examined += _cum_at(blk.cum_examined, pos) - _cum_at(blk.cum_examined, self._prev)
-        self.rej_distance += _cum_at(blk.cum_rej_distance, pos) - _cum_at(blk.cum_rej_distance, self._prev)
-        self.rej_objective += _cum_at(blk.cum_rej_objective, pos) - _cum_at(blk.cum_rej_objective, self._prev)
-        self._prev = pos
+    def _consume(self, end: int) -> None:
+        # Tally the block's rows up to, not including, end.
+        cum = self._block.cum
+        self.tally += cum[:, end] - cum[:, self._done]
+        self._done = end
 
     def _cut_after(self, count: int) -> None:
         # Consume up to and including the count-th examined draw from here.
-        blk = self._block
-        target = _cum_at(blk.cum_examined, self._prev) + count
-        self._consume_to(int(np.searchsorted(blk.cum_examined, target)))
+        examined = self._block.cum[_EXAMINED]
+        self._consume(int(np.searchsorted(examined, examined[self._done] + count)))
 
     def next_survivor(self, room: int) -> tuple[np.ndarray, float, int] | None:
         """The next survivor as (a, b, draws), where draws counts the examined
@@ -238,23 +244,23 @@ class _StreamWalker:
             if self._block is None:
                 self._block = self._feed.next_block()
                 self._si = 0
-                self._prev = -1
+                self._done = 0
             blk = self._block
+            examined = blk.cum[_EXAMINED]
             if self._si < len(blk.survivors):
                 pos = int(blk.survivors[self._si])
                 self._si += 1
-                pre = _cum_at(blk.cum_examined, pos - 1) - _cum_at(blk.cum_examined, self._prev)
+                pre = int(examined[pos] - examined[self._done])
                 if draws + pre >= room:
                     self._cut_after(room - draws)
                     return None
-                self._consume_to(pos)
+                self._consume(pos + 1)
                 return blk.a[pos], float(blk.b[pos]), draws + pre + 1
-            last = blk.size - 1
-            tail = _cum_at(blk.cum_examined, last) - _cum_at(blk.cum_examined, self._prev)
+            tail = int(examined[blk.size] - examined[self._done])
             if draws + tail >= room:
                 self._cut_after(room - draws)
                 return None
-            self._consume_to(last)
+            self._consume(blk.size)
             draws += tail
             self._block = None
 
@@ -268,8 +274,8 @@ def _generate(
     """Run the round protocol with one producer per stream id.
 
     Each round steps the producers in stream order on the calling thread.  A
-    producer walks its stream to the next survivor of the distance and
-    objective stages that is not alike to a bounding row and submits it; the
+    producer walks its stream to the next survivor of the distance,
+    objective and bounding-row stages and submits it; the
     coordinator rejects a submission alike to an accepted row, and once d
     rows are accepted counts the producers not yet stepped in that round as
     discarded_surplus, without stepping them.
@@ -290,22 +296,23 @@ def _generate(
     screen = BoundingScreen(n, params.alpha, params.l_max, params.s_min)
     index = SimilarityIndex(n, params.l_max, params.s_min, capacity=d + 1)
     walkers = [
-        _StreamWalker(_CandidateFeed(derive_stream(params.seed, s), params, h, c))
+        _StreamWalker(_CandidateFeed(derive_stream(params.seed, s), params, h, c, screen))
         for s in stream_ids
     ]
     sequential = list(stream_ids) == [0]
     accepted: list[Inequality] = []
-    rej_similarity = coord_rej = discarded = rounds = 0
+    coord_rej = discarded = rounds = 0
     attempts = 0  # examined draws since the last acceptance, over all producers
 
     def stats() -> GenerationStats:
         # Every examined draw reached a terminal fate: the surplus producers
         # of the final round are never stepped, and are tallied apart.
+        tally = sum(w.tally for w in walkers).tolist()
         return GenerationStats(
-            candidates_drawn=sum(w.examined for w in walkers),
-            rejected_distance=sum(w.rej_distance for w in walkers),
-            rejected_objective=sum(w.rej_objective for w in walkers),
-            rejected_similarity=rej_similarity,
+            candidates_drawn=tally[_EXAMINED],
+            rejected_distance=tally[_DISTANCE],
+            rejected_objective=tally[_OBJECTIVE],
+            rejected_similarity=tally[_SIMILARITY] + coord_rej,
             coordinator_rejected_similarity=0 if sequential else coord_rej,
             discarded_surplus=discarded,
             rounds=0 if sequential else rounds,
@@ -330,19 +337,12 @@ def _generate(
             if len(accepted) == d:
                 discarded += len(walkers) - k
                 break
-            while True:
-                survivor = walker.next_survivor(budget - attempts)
-                if survivor is None:
-                    raise stalled()
-                a, b, draws = survivor
-                attempts += draws
-                if not screen.any_alike(a, b):
-                    break
-                rej_similarity += 1
-                if attempts >= budget:
-                    raise stalled()
+            survivor = walker.next_survivor(budget - attempts)
+            if survivor is None:
+                raise stalled()
+            a, b, draws = survivor
+            attempts += draws
             if index.any_alike(a, b):
-                rej_similarity += 1
                 coord_rej += 1
                 if attempts >= budget:
                     raise stalled()

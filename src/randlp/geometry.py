@@ -182,11 +182,13 @@ class BoundingScreen:
     gap below l_max needs +-u_j above ``direction_cut``, about 1 - l_max^2/2.
     Every shortlisted row is rechecked with ``row_norms(unit - u)`` on the
     same unit row a dense ``SimilarityIndex`` of the bounding rows holds, so
-    the verdict equals that index's ``any_alike`` bit for bit, in O(n).
+    the verdict equals that index's ``any_alike`` bit for bit, in O(n) per
+    row.  ``alike_rows`` screens a whole stack of rows with one pass of each
+    test, so a producer screens all survivors of a block in one call;
+    ``any_alike`` is its one-row case.
     """
 
     def __init__(self, n: int, alpha: float, l_max: float, s_min: float):
-        self._n = n
         self._alpha = float(alpha)
         self._l_max = l_max
         self._s_min = s_min
@@ -195,28 +197,36 @@ class BoundingScreen:
         self._diag_unit = ones / nrm
         self._diag_offset = float(diagonal_rhs(n, alpha)) / nrm
 
-    def _axis_alike(self, u: np.ndarray, coef: float, cut: float) -> bool:
-        """Any row coef * e_j within l_max of u, shortlisted by coef * u_j."""
-        for j in np.flatnonzero(coef * u > cut):
-            unit = np.zeros(self._n)
-            unit[j] = coef
-            if row_norms(unit - u) < self._l_max:
-                return True
-        return False
+    def _axis_alike(self, units, near, coef: float, cut) -> np.ndarray:
+        """Per row of ``units``: a row coef * e_j within l_max of it, among
+        the rows where ``near`` holds, shortlisted by coef * u_j > cut."""
+        rows = np.flatnonzero(near)
+        ii, jj = np.nonzero(coef * units[rows] > cut[rows, None])
+        ii = rows[ii]
+        # unit - u for each shortlisted pair: 0 - u_k off the axis
+        diff = 0.0 - units[ii]
+        diff[np.arange(ii.size), jj] = coef - units[ii, jj]
+        hit = np.zeros(len(units), dtype=bool)
+        hit[ii[row_norms(diff) < self._l_max]] = True
+        return hit
 
-    def any_alike(self, a: np.ndarray, b: float) -> bool:
-        nrm = float(row_norms(a))
-        if nrm == 0.0:
+    def alike_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """For each row of the stack ``a`` with right-hand side ``b``, whether
+        it is alike to some bounding row."""
+        nrm = row_norms(a)
+        if np.any(nrm == 0.0):
             raise ValueError("zero-norm coefficient vector cannot be compared")
-        u = a / nrm
+        units = a / nrm[:, None]
         beta = b / nrm
         s_min = self._s_min
-        cut = direction_cut(min(1.0, float(row_sumsq(u))), self._l_max)
-        if abs(self._alpha - beta) < s_min and self._axis_alike(u, 1.0, cut):
-            return True
-        if abs(beta) < s_min and self._axis_alike(u, -1.0, cut):
-            return True
-        return bool(
-            abs(self._diag_offset - beta) < s_min
-            and row_norms(self._diag_unit - u) < self._l_max
-        )
+        # fmin, like min(1.0, x), keeps 1.0 against nan
+        cut = direction_cut(np.fmin(1.0, row_sumsq(units)), self._l_max)
+        hit = self._axis_alike(units, np.abs(self._alpha - beta) < s_min, 1.0, cut)
+        hit |= self._axis_alike(units, np.abs(beta) < s_min, -1.0, cut)
+        diag = np.flatnonzero(np.abs(self._diag_offset - beta) < s_min)
+        hit[diag] |= row_norms(self._diag_unit - units[diag]) < self._l_max
+        return hit
+
+    def any_alike(self, a: np.ndarray, b: float) -> bool:
+        """``alike_rows`` for one row."""
+        return bool(self.alike_rows(np.asarray(a)[None, :], np.array([b], dtype=np.float64))[0])

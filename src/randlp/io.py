@@ -14,8 +14,9 @@ Bounding rows are mostly zeros, so both directions use a template: the text
 of each canonical row of ``build_support(n, alpha)``, built one row at a time
 from ``support_layout`` with ``_fmt(alpha)`` and ``_fmt((n-1)*alpha +
 alpha/2)``.  The writer emits the template for a row that is bitwise
-canonical, and formats any other row (say one holding -0.0 or nan) token by
-token; either way the bytes are exactly those of formatting every token.
+canonical, and formats any other row (say one holding -0.0 or nan) with one
+``%`` over all its numbers; either way the bytes are exactly those of
+formatting every token on its own.
 The reader takes the canonical row for a line equal to its template and
 parses every other line token by token.  Every number read must be finite.
 """
@@ -38,14 +39,16 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _tokens(values: np.ndarray) -> list[str]:
-    # tolist() gives the same binary64 values as Python floats, without a
-    # float() call per number
-    return [format(v, ".17g") for v in values.tolist()]
+def _text(values: list[float]) -> str:
+    """The values as space separated ``%.17g`` tokens: the conversion
+    ``format(v, ".17g")`` makes, applied by one ``%`` over the row."""
+    return " ".join(["%.17g"] * len(values)) % tuple(values)
 
 
 def _row_text(q: Inequality) -> str:
-    return " ".join(_tokens(q.a) + [_fmt(q.b)])
+    # tolist() gives the same binary64 values as Python floats, without a
+    # float() call per number
+    return _text(q.a.tolist() + [q.b])
 
 
 def _bits(v: float) -> np.uint64:
@@ -80,7 +83,7 @@ def instance_to_text(inst: LPInstance) -> str:
     # a support tuple longer than 2n+1 keeps its extra rows
     for q in inst.support[2 * n + 1 :] + inst.random:
         lines.append(_row_text(q))
-    lines.append(" ".join(_tokens(inst.c)))
+    lines.append(_text(inst.c.tolist()))
     return "\n".join(lines) + "\n"
 
 

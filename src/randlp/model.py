@@ -42,6 +42,29 @@ class GeneratorParams:
     max_attempts: int = 1_000_000
 
 
+_L_MAX_CAP = 0.7
+
+
+def _positive_finite(p: GeneratorParams, names) -> list[str]:
+    out = []
+    for name in names:
+        value = getattr(p, name)
+        if not value > 0:
+            out.append(f"{name} > 0")
+        if not math.isfinite(value):
+            out.append(f"{name} finite")
+    return out
+
+
+def bound_violations(p: GeneratorParams) -> list[str]:
+    """The conditions of ``validate_params`` on rho, l_max and s_min alone,
+    the acceptance bounds an instance file does not store."""
+    out = _positive_finite(p, ("rho", "l_max", "s_min"))
+    if not p.l_max <= _L_MAX_CAP:
+        out.append(f"l_max <= {_L_MAX_CAP}")
+    return out
+
+
 def validate_params(p: GeneratorParams) -> list[str]:
     """Return the list of violated conditions, empty when p is usable.
 
@@ -53,18 +76,13 @@ def validate_params(p: GeneratorParams) -> list[str]:
         out.append("n >= 1")
     if p.d < 0:
         out.append("d >= 0")
-    for name in ("alpha", "theta", "rho", "l_max", "s_min", "a_max", "b_max"):
-        value = getattr(p, name)
-        if not value > 0:
-            out.append(f"{name} > 0")
-        if not math.isfinite(value):
-            out.append(f"{name} finite")
+    out += _positive_finite(p, ("alpha", "theta", "rho", "l_max", "s_min", "a_max", "b_max"))
     if not p.theta <= p.alpha / 2:
         out.append("theta <= alpha/2")
     if not p.rho < p.theta:
         out.append("rho < theta")
-    if not p.l_max <= 0.7:
-        out.append("l_max <= 0.7")
+    if not p.l_max <= _L_MAX_CAP:
+        out.append(f"l_max <= {_L_MAX_CAP}")
     # At n = 1 the bounding rows x <= alpha and x <= alpha/2 share a unit
     # normal, so their offsets must stay s_min apart.
     if p.n == 1 and not p.s_min <= p.alpha / 2:

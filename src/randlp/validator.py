@@ -22,24 +22,22 @@ import numpy as np
 
 from .geometry import (
     direction_cut,
-    distance_to_center,
     hypercube_center,
     likeness,
     objective_value,
-    project_center,
     row_dots,
     row_norms,
     row_sumsq,
 )
-from .model import Inequality, LPInstance, UnsupportedDimensionError
+from .model import LPInstance, UnsupportedDimensionError
 from .support import build_objective, build_support, support_only_solution
 
 _SLACK = 1e-9
 
 
-def _within(x: float, bound: float) -> bool:
-    """Non-strict x <= bound with relative slack."""
-    return x <= bound + _SLACK * max(1.0, abs(bound))
+def _within(x, bound):
+    """Non-strict x <= bound with relative slack, elementwise."""
+    return x <= bound + _SLACK * np.maximum(1.0, np.abs(bound))
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,16 @@ class ValidationReport:
 
 
 def validate_instance(inst: LPInstance) -> ValidationReport:
-    """Check every promised property of inst; collect all violations."""
+    """Check every promised property of inst; collect all violations.
+
+    Each row's own conditions are evaluated once over a stack of all rows,
+    with the row kernels a one-row check uses, so every verdict and every
+    measured value equals that of checking the rows one at a time.  The
+    violations come out in that order too: structural, bounding rows and
+    objective, non-finite rows, zero rows, then per row its center
+    feasibility, distance band and objective improvement, then the alike
+    pairs.
+    """
     out: list[Violation] = []
     n = inst.n
     p = inst.params
@@ -87,41 +94,62 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     if not np.array_equal(inst.c, expected_c):
         out.append(Violation(-1, "objective row mismatch", "row differs", "exact"))
 
-    norms = np.array([float(row_norms(q.a)) for q in rows])
+    A = np.stack([q.a for q in rows])
+    B = np.array([q.b for q in rows])
+    sumsq = row_sumsq(A)
+    norms = np.sqrt(sumsq)  # row_norms(A)
     # A nan or inf coefficient makes the norm non-finite, and so can a sum of
     # squares that overflows: recheck those rows coefficient by coefficient.
-    finite = np.isfinite(norms) & np.isfinite([q.b for q in rows])
+    finite = np.isfinite(norms) & np.isfinite(B)
     for i in np.flatnonzero(~finite):
-        finite[i] = bool(np.isfinite(rows[i].a).all()) and math.isfinite(rows[i].b)
+        finite[i] = bool(np.isfinite(A[i]).all()) and math.isfinite(B[i])
     for i in np.nonzero(~finite)[0]:
         out.append(Violation(int(i), "finite coefficients", "nan or inf", "finite"))
     for i in np.nonzero(finite & (norms == 0.0))[0]:
         out.append(Violation(int(i), "nonzero coefficient norm", 0.0, "> 0"))
     usable = finite & (norms > 0.0)
+    idx = np.flatnonzero(usable)
+    if idx.size < len(rows):
+        A, B, sumsq, norms = A[usable], B[usable], sumsq[usable], norms[usable]
 
     h = hypercube_center(n, p.alpha)
     f_h = objective_value(inst.c, h)
-    n_support = len(inst.support)
+    # the usable rows from `first` on are random rows: distance band and
+    # objective improvement apply to those only
+    first = int(np.searchsorted(idx, len(inst.support)))
+    ah = row_dots(A, h)
+    # a one-row check did this arithmetic on Python floats, which overflow,
+    # and divide inf by inf, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        feasible = _within(ah, B)
+        excess = ah[first:] - B[first:]
+        dist = np.abs(excess) / norms[first:]
+        above_rho = dist > p.rho
+        below_theta = _within(dist, p.theta)
+        t = excess / sumsq[first:]
+    # the projection of h onto each random row's hyperplane
+    f_proj = row_dots(h - t[:, None] * A[first:], inst.c)
+    improves = f_proj > f_h
 
-    for i, q in enumerate(rows):
-        if not usable[i]:
+    flagged = ~feasible
+    flagged[first:] |= ~(above_rho & below_theta & improves)
+    for k in np.flatnonzero(flagged).tolist():
+        i = int(idx[k])
+        if not feasible[k]:
+            out.append(Violation(i, "center feasibility a.h <= b", float(ah[k]), float(B[k])))
+        if k < first:
             continue
-        ah = float(row_dots(q.a, h))
-        if not _within(ah, q.b):
-            out.append(Violation(i, "center feasibility a.h <= b", ah, q.b))
-        if i < n_support:
-            continue
-        # random rows only: distance band and objective improvement
-        dist = distance_to_center(h, q)
-        if not dist > p.rho:
-            out.append(Violation(i, "distance > rho", dist, p.rho))
-        if not _within(dist, p.theta):
-            out.append(Violation(i, "distance <= theta", dist, p.theta))
-        f_proj = objective_value(inst.c, project_center(h, q))
-        if not f_proj > f_h:
-            out.append(Violation(i, "objective improvement at projection", f_proj, f_h))
+        r = k - first
+        if not above_rho[r]:
+            out.append(Violation(i, "distance > rho", float(dist[r]), p.rho))
+        if not below_theta[r]:
+            out.append(Violation(i, "distance <= theta", float(dist[r]), p.theta))
+        if not improves[r]:
+            out.append(
+                Violation(i, "objective improvement at projection", float(f_proj[r]), f_h)
+            )
 
-    out.extend(_pairwise_likeness_violations(rows, usable, p.l_max, p.s_min))
+    out.extend(_pairwise_likeness_violations(rows, idx, A, B, norms, p.l_max, p.s_min))
     return ValidationReport(not out, tuple(out))
 
 
@@ -130,23 +158,21 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
 _PAIR_BLOCK = 256
 
 
-def _pairwise_likeness_violations(rows, usable, l_max, s_min):
+def _pairwise_likeness_violations(rows, idx, a, b, nrm, l_max, s_min):
     """All-pairs dissimilarity check, in row-major (i, j) order.
 
-    The usable rows are walked in blocks of ``_PAIR_BLOCK``: each block's
+    ``a``, ``b`` and ``nrm`` stack the coefficients, right-hand sides and
+    norms of the usable rows ``rows[idx]``.  They are walked in blocks of
+    ``_PAIR_BLOCK``: each block's
     slab ``units[lo:hi] @ units[lo+1:].T`` shortlists the pairs above their
     ``direction_cut`` (a safety margin on the direction-gap bound), the
     offset test runs on those pairs only, and each survivor is rechecked
     with the exact scalar predicate, so the verdict never depends on BLAS
     summation order.  Peak memory is O(_PAIR_BLOCK * m), not O(m^2).
     """
-    idx = np.flatnonzero(usable)
     k = idx.size
     if k < 2:
         return []
-    a = np.stack([rows[i].a for i in idx])
-    b = np.array([rows[i].b for i in idx])
-    nrm = row_norms(a)
     units = a / nrm[:, None]
     beta = b / nrm
     # <v_i, v_j> > (|v_i|^2 + |v_j|^2)/2 - l_max^2/2, per pair: a row whose

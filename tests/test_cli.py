@@ -203,6 +203,35 @@ def test_validate_takes_the_bounds_the_file_does_not_store(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+@pytest.fixture
+def duplicate_row_file(tmp_path):
+    """A generated file whose last random row is copied over the one before."""
+    out = tmp_path / "dup.txt"
+    assert run_cli(["gen", "--n", "3", "--d", "4", "--seed", "1", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    lines[-3] = lines[-2]  # constraint rows 9 and 10, before the objective
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("flags, violations", [
+    (["--lmax", "nan"], ["l_max > 0", "l_max finite", "l_max <= 0.7"]),
+    (["--smin", "nan"], ["s_min > 0", "s_min finite"]),
+    (["--smin", "0"], ["s_min > 0"]),
+    (["--lmax", "-1"], ["l_max > 0"]),
+    (["--lmax", "0.71"], ["l_max <= 0.7"]),
+    (["--rho", "inf"], ["rho finite"]),
+    (["--rho", "0"], ["rho > 0"]),
+])
+def test_validate_refuses_unusable_bounds(duplicate_row_file, capsys, flags, violations):
+    assert run_cli(["validate", "--in", str(duplicate_row_file)]) == 1
+    assert "constraint 10: alike with constraint 9" in capsys.readouterr().err
+    assert run_cli(["validate", "--in", str(duplicate_row_file), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"parameter violation: {v}" for v in violations]
+
+
 @st.composite
 def accepted_params(draw):
     """Small parameter sets that validate_params accepts."""

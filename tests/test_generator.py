@@ -1,4 +1,5 @@
-from dataclasses import replace
+import hashlib
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -309,9 +310,19 @@ def test_draw_reads_the_same_words_in_one_call_as_in_three(n):
     assert np.array_equal(one.raw_words(4), three.raw_words(4))
 
 
+class LoopedScreen:
+    """``alike_rows`` of an index, one ``any_alike`` call per row."""
+
+    def __init__(self, index):
+        self._index = index
+
+    def alike_rows(self, a, b):
+        return np.array([self._index.any_alike(r, v) for r, v in zip(a, b.tolist())], dtype=bool)
+
+
 def dense_bounding_screen(n, alpha, l_max, s_min):
     """The bounding rows stored densely, as the engines once held them."""
-    return SimilarityIndex.from_inequalities(build_support(n, alpha), n, l_max, s_min)
+    return LoopedScreen(SimilarityIndex.from_inequalities(build_support(n, alpha), n, l_max, s_min))
 
 
 ENGINE_CASES = [
@@ -354,3 +365,50 @@ def test_engines_and_writer_need_no_dense_bounding_index(monkeypatch, params):
 def test_n1_instances_accepted_by_validate_params_validate(s_min):
     inst, _ = generate_sequential(GeneratorParams(n=1, d=0, s_min=s_min))
     assert validate_instance(inst).ok
+
+
+# Runs with many producer-side similarity rejections: instance text sha256,
+# or the stall message, and (candidates_drawn, rejected_distance,
+# rejected_objective, rejected_similarity, coordinator_rejected_similarity,
+# discarded_surplus, rounds), taken from producers that screened one
+# survivor at a time, which the block-wide screen must reproduce.  The
+# second and fifth stall exactly at a draw the bounding screen rejects.
+SCREEN_PINS = [
+    ({'n': 5, 'd': 6, 'seed': 0, 'l_max': 0.7, 's_min': 150.0, 'max_attempts': 5000},
+     'a59a199ed24c5a91f880da9a0e651e08deab7aba1424739ff9c23b54627fbd52',
+     (6344, 4473, 1689, 176, 0, 0, 0)),
+    ({'n': 5, 'd': 6, 'seed': 0, 'l_max': 0.7, 's_min': 150.0, 'max_attempts': 795},
+     'no acceptance within 795 consecutive draws (dominating reason: rejected_distance)',
+     (1867, 1318, 496, 49, 0, 0, 0)),
+    ({'n': 3, 'd': 6, 'seed': 2, 'workers': 3, 'max_attempts': 5000},
+     'f8022f7eec1a173bb6a86e0b11f20eb9b3bad747e77777a70bb50f837fc266ea',
+     (8259, 6013, 2089, 151, 133, 2, 47)),
+    ({'n': 5, 'd': 6, 'seed': 1, 'workers': 3, 'l_max': 0.7, 'max_attempts': 5000},
+     '175afad7458eafaab318592c43be2932e2d8684f2958a75b0cc07575e06ed99c',
+     (3771, 2661, 1012, 92, 75, 0, 27)),
+    ({'n': 3, 'd': 6, 'seed': 0, 'workers': 2, 'l_max': 0.7, 's_min': 150.0, 'max_attempts': 30},
+     'no acceptance within 30 consecutive draws (dominating reason: rejected_distance)',
+     (30, 21, 8, 1, 0, 0, 1)),
+    ({'n': 5, 'd': 30, 'seed': 1, 'workers': 2, 'l_max': 0.7, 's_min': 150.0, 'max_attempts': 20000},
+     'no acceptance within 20000 consecutive draws (dominating reason: rejected_distance)',
+     (54728, 38730, 14613, 1376, 1157, 0, 584)),
+    ({'n': 3, 'd': 20, 'seed': 0, 'max_attempts': 20000},
+     'no acceptance within 20000 consecutive draws (dominating reason: rejected_distance)',
+     (30053, 21818, 7754, 476, 0, 0, 0)),
+    ({'n': 2, 'd': 12, 'seed': 1, 'workers': 3, 'l_max': 0.7, 's_min': 150.0, 'max_attempts': 20000},
+     'no acceptance within 20000 consecutive draws (dominating reason: rejected_distance)',
+     (30409, 23544, 6716, 148, 4, 0, 2)),
+]
+
+
+@pytest.mark.parametrize("kwargs, outcome, counters", SCREEN_PINS)
+def test_runs_with_many_screen_rejections_are_pinned(kwargs, outcome, counters):
+    params = GeneratorParams(**kwargs)
+    engine = generate_parallel if params.workers > 1 else generate_sequential
+    try:
+        inst, stats = engine(params)
+        got = hashlib.sha256(instance_to_text(inst).encode()).hexdigest()
+    except GenerationStalledError as err:
+        stats, got = err.stats, str(err)
+    assert got == outcome
+    assert astuple(stats)[:7] == counters

@@ -258,11 +258,11 @@ def test_screen_matches_dense_index_on_drawn_rows(coeffs, b, l_max, s_min):
     assert_screen_matches_dense(len(a), l_max, s_min, [(a, b)])
 
 
-@pytest.mark.parametrize("n", SCREEN_NS)
-def test_screen_matches_dense_index_at_the_thresholds(n):
-    # For each bounding row, a row tilted to a gap of l_max +- 1e-12 from it,
-    # and thresholds set to the exact rounded gap and offset difference the
-    # dense index computes, and one ulp either side of them.
+def threshold_rows(n):
+    """For each bounding row (three of them when n > 20), its index k and
+    the rows tilted to a gap of l_max +- 1e-12 from it, each with the
+    thresholds set to the exact rounded gap and offset difference the dense
+    index computes, and one ulp either side of them."""
     gen = np.random.default_rng(n)
     units = bounding_units(n)
     picks = range(len(units)) if n <= 20 else [n - 1, n, 2 * n]
@@ -271,6 +271,7 @@ def test_screen_matches_dense_index_at_the_thresholds(n):
         w = gen.standard_normal(n) if n > 1 else np.zeros(1)
         w -= row_dots(w, unit) * unit
         w_nrm = float(row_norms(w))
+        rows = []
         for target in (0.35 - 1e-12, 0.35, 0.35 + 1e-12):
             angle = 2.0 * math.asin(target / 2.0)
             u = math.cos(angle) * unit + (math.sin(angle) * w / w_nrm if w_nrm else 0.0)
@@ -285,10 +286,74 @@ def test_screen_matches_dense_index_at_the_thresholds(n):
                     for l_max in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, 1.0))
                     for s_min in (off, np.nextafter(off, 0.0), np.nextafter(off, 1e9))
                 ]
-                for l_max, s_min in thresholds:
-                    assert_screen_matches_dense(n, l_max, s_min, [(a, b)])
+                rows.append((a, b, thresholds))
+        yield k, rows
+
+
+@pytest.mark.parametrize("n", SCREEN_NS)
+def test_screen_matches_dense_index_at_the_thresholds(n):
+    units = bounding_units(n)
+    for k, rows in threshold_rows(n):
+        for a, b, thresholds in rows:
+            for l_max, s_min in thresholds:
+                assert_screen_matches_dense(n, l_max, s_min, [(a, b)])
         # the row itself sits at gap 0 and offset difference 0
+        unit, offset = units[k]
         assert BoundingScreen(n, ALPHA, 0.35, 100.0).any_alike(3.0 * unit, 3.0 * offset)
+
+
+def assert_stack_matches_dense(n, l_max, s_min, rows):
+    a = np.stack([r for r, _ in rows])
+    b = np.array([v for _, v in rows])
+    dense = dense_bounding(n, l_max, s_min)
+    want = [dense.any_alike(r, v) for r, v in rows]
+    got = BoundingScreen(n, ALPHA, l_max, s_min).alike_rows(a, b)
+    assert got.dtype == bool
+    assert got.tolist() == want, (l_max, s_min)
+
+
+STACK_NS = [1, 2, 20, 400]
+
+
+@pytest.mark.parametrize("n", STACK_NS)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 30),
+    spread=st.floats(0.0, 1.0),
+    shift=st.floats(0.0, 300.0),
+    scale=st.floats(1e-3, 1e3),
+    l_max=st.floats(0.01, 0.7),
+    s_min=st.floats(1.0, 150.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_screen_alike_rows_matches_dense_index_per_row(n, seed, k, spread, shift, scale, l_max, s_min):
+    # a stack of rows near random bounding rows, at spreads and shifts up
+    # to the drawn ones, and one unrelated row
+    gen = np.random.default_rng(seed)
+    units = bounding_units(n)
+    rows = []
+    for _ in range(k):
+        unit, offset = units[int(gen.integers(len(units)))]
+        rows.append(near_row(gen, unit, offset, spread * gen.uniform(),
+                             shift * gen.uniform(-1.0, 1.0), scale))
+    rows.append((gen.uniform(-1000.0, 1000.0, n), float(gen.uniform(-1e4, 1e4))))
+    assert_stack_matches_dense(n, l_max, s_min, rows)
+
+
+@pytest.mark.parametrize("n", STACK_NS)
+def test_screen_alike_rows_matches_dense_index_at_the_thresholds(n):
+    # the rows tilted around one bounding row, stacked, at each row's exact
+    # thresholds: one stack holds rows on both sides of l_max and s_min
+    for _, rows in threshold_rows(n):
+        stack = [(a, b) for a, b, _ in rows]
+        for l_max, s_min in {t for _, _, thresholds in rows for t in thresholds}:
+            assert_stack_matches_dense(n, l_max, s_min, stack)
+
+
+def test_screen_alike_rows_rejects_a_zero_row():
+    a = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        BoundingScreen(3, ALPHA, 0.35, 100.0).alike_rows(a, np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("n", SCREEN_NS)

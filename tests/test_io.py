@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randlp import (
     GenerationStats,
@@ -20,6 +22,7 @@ from randlp import (
     write_instance,
     write_stats,
 )
+from randlp import io as rio
 
 
 def test_support_only_n1_exact_text():
@@ -93,6 +96,25 @@ def test_awkward_floats_round_trip_bitwise(value):
     back = read_instance(io.StringIO(instance_to_text(patched)))
     got = back.random[0].b
     assert np.float64(got).tobytes() == np.float64(value).tobytes()
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+any_float = st.one_of(
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+)
+
+
+@given(st.lists(any_float, min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_row_text_equals_formatting_each_token(values):
+    # nan payloads and signs print as nan, the same either way
+    assert rio._text(values) == " ".join(format(v, ".17g") for v in values)
+    q = Inequality(np.array(values[:-1] or [1.0]), values[-1])
+    want = " ".join(format(v, ".17g") for v in q.a.tolist() + [q.b])
+    assert rio._row_text(q) == want
 
 
 def test_header_reconstructs_alpha_and_theta():

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,15 +12,18 @@ from randlp import (
     UnsupportedDimensionError,
     build_objective,
     build_support,
+    distance_to_center,
     generate_parallel,
     generate_sequential,
     likeness,
     objective_value,
+    project_center,
     support_only_solution,
     validate_instance,
     verify_support_solution,
 )
 from randlp import validator
+from randlp.geometry import hypercube_center, row_dots, row_norms
 
 from conftest import make_params
 
@@ -337,3 +342,138 @@ def test_validation_memory_grows_with_m_not_m_squared():
         tracemalloc.stop()
     assert report.ok
     assert peak < 2 * m * m, peak
+
+
+# --- row conditions over one stack versus one row at a time -------------------
+
+
+ROW_CONDITIONS = {
+    "finite coefficients",
+    "nonzero coefficient norm",
+    "center feasibility a.h <= b",
+    "distance > rho",
+    "distance <= theta",
+    "objective improvement at projection",
+}
+
+
+def within(x, bound):
+    return x <= bound + 1e-9 * max(1.0, abs(bound))
+
+
+def per_row_reference(inst):
+    """The row conditions checked one row at a time with the scalar
+    operations, in the validator's order."""
+    rows = inst.constraints
+    p = inst.params
+    norms = [float(row_norms(q.a)) for q in rows]
+    finite = [bool(np.isfinite(q.a).all()) and math.isfinite(q.b) for q in rows]
+    out = [(i, "finite coefficients", "nan or inf", "finite")
+           for i in range(len(rows)) if not finite[i]]
+    out += [(i, "nonzero coefficient norm", 0.0, "> 0")
+            for i in range(len(rows)) if finite[i] and norms[i] == 0.0]
+    h = hypercube_center(inst.n, p.alpha)
+    f_h = objective_value(inst.c, h)
+    for i, q in enumerate(rows):
+        if not (finite[i] and norms[i] > 0.0):
+            continue
+        ah = float(row_dots(q.a, h))
+        if not within(ah, q.b):
+            out.append((i, "center feasibility a.h <= b", ah, q.b))
+        if i < len(inst.support):
+            continue
+        dist = distance_to_center(h, q)
+        if not dist > p.rho:
+            out.append((i, "distance > rho", dist, p.rho))
+        if not within(dist, p.theta):
+            out.append((i, "distance <= theta", dist, p.theta))
+        f_proj = objective_value(inst.c, project_center(h, q))
+        if not f_proj > f_h:
+            out.append((i, "objective improvement at projection", f_proj, f_h))
+    return [(i, cond, repr(measured), repr(bound)) for i, cond, measured, bound in out]
+
+
+def row_violations(report):
+    return [(v.constraint, v.condition, repr(v.measured), repr(v.bound))
+            for v in report.violations if v.condition in ROW_CONDITIONS]
+
+
+def recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, {(w.category, str(w.message)) for w in caught}
+
+
+def tampered(inst, edits):
+    rows = list(inst.constraints)
+    for i, edit in edits:
+        q = rows[i]
+        rows[i] = Inequality(*edit(q.a.copy(), q.b))
+    k = len(inst.support)
+    return replace(inst, support=tuple(rows[:k]), random=tuple(rows[k:]))
+
+
+def with_a0(value):
+    def edit(a, b):
+        a[0] = value
+        return a, b
+    return edit
+
+
+def through_center(a, b):
+    return a, float(row_dots(a, np.full(a.shape[0], 100.0)))
+
+
+TAMPERINGS = {
+    "sign flip": [(20, lambda a, b: (-a, -b))],
+    "through the center": [(21, through_center)],
+    "far out": [(22, lambda a, b: (a, b + 10.0 * float(row_norms(a)) * 100.0))],
+    # the mirror image through h of the row's normal, at the same distance
+    "not improving": [(23, lambda a, b: (-a, b - 2.0 * float(row_dots(a, np.full(a.shape[0], 100.0)))))],
+    "bounding row pushed in": [(3, lambda a, b: (a, -1.0))],
+    "zero row": [(24, lambda a, b: (0.0 * a, b))],
+    "nan coefficient": [(25, with_a0(math.nan))],
+    "inf right-hand side": [(26, lambda a, b: (a, math.inf))],
+    "norm overflows": [(27, lambda a, b: (1e200 * a, 1e200 * b))],
+    "norm underflows": [(28, lambda a, b: (1e-170 * a, 1e-170 * b))],
+    "huge right-hand side": [(29, lambda a, b: (a, 1.7976931348623157e308))],
+}
+TAMPERINGS["all at once"] = [
+    edit
+    for name in ("sign flip", "through the center", "far out", "zero row", "nan coefficient",
+                 "norm overflows")
+    for edit in TAMPERINGS[name]
+]
+
+
+@pytest.fixture(scope="module")
+def row_condition_instance():
+    inst, _ = generate_sequential(GeneratorParams(n=5, d=20, seed=1))
+    return inst
+
+
+@pytest.mark.parametrize("name", list(TAMPERINGS))
+def test_row_conditions_match_a_per_row_reference(row_condition_instance, name):
+    bad = tampered(row_condition_instance, TAMPERINGS[name])
+    with np.errstate(over="ignore"):  # the squares of 1e200 overflow
+        want, _ = recorded(per_row_reference, bad)
+        report, _ = recorded(validate_instance, bad)
+    assert not report.ok
+    assert row_violations(report) == want
+
+
+def test_row_conditions_cover_every_condition(row_condition_instance):
+    seen = set()
+    for edits in TAMPERINGS.values():
+        with np.errstate(over="ignore"):
+            seen |= {v[1] for v in per_row_reference(tampered(row_condition_instance, edits))}
+    assert seen == ROW_CONDITIONS
+
+
+@pytest.mark.parametrize("name", list(TAMPERINGS))
+def test_row_conditions_raise_no_new_warning(row_condition_instance, name):
+    bad = tampered(row_condition_instance, TAMPERINGS[name])
+    _, reference_warnings = recorded(per_row_reference, bad)
+    _, got = recorded(validate_instance, bad)
+    assert got <= reference_warnings
