@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .bench import run_benchmark
 from .generator import GenerationStalledError, generate_parallel, generate_sequential
-from .io import ParseError, instance_to_text, read_instance, write_stats
+from .io import ParseError, read_instance, write_instance, write_stats
 from .model import GeneratorParams, ParameterError, UnsupportedDimensionError, bound_violations
 from .svg import render_svg
 from .validator import validate_instance
@@ -90,11 +90,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         return 2
     engine = generate_parallel if engine_name == "par" else generate_sequential
     instance, stats = engine(params)
-    text = instance_to_text(instance)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    write_instance(instance, args.out or sys.stdout)
     if args.stats_out:
         write_stats(stats, args.stats_out)
     return 0
@@ -130,8 +126,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         counts = [int(tok) for tok in args.workers_list.split(",") if tok.strip()]
     except ValueError:
-        print(f"error: bad --workers-list: {args.workers_list!r}", file=sys.stderr)
-        return 2
+        counts = []
+    violations = []
+    if not counts:
+        violations.append(f"--workers-list is one or more integers, got {args.workers_list!r}")
+    if args.reps < 1:
+        violations.append("--reps >= 1")
+    if violations:
+        raise ParameterError(violations)
     results = run_benchmark(params, counts, repetitions=args.reps)
     for i, r in enumerate(results):
         if i:

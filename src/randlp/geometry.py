@@ -77,12 +77,14 @@ _GAP_SQ_MARGIN = 1e-6
 def direction_cut(mean_sumsq, l_max: float):
     """Dot-product bound for a shortlist of likely-alike unit rows.
 
-    For rows v, u with ``(|v|^2 + |u|^2)/2 >= mean_sumsq``, a gap
-    ``|v - u| < l_max`` needs ``<v, u> > mean_sumsq - l_max^2/2``; the cut
-    lowers that by half of ``_GAP_SQ_MARGIN`` so rounding cannot drop a
-    row the exact gap would keep.  Squared norms of normalized rows are 1
-    up to rounding, and smaller only when a norm under- or overflowed.
-    Works elementwise on an array of ``mean_sumsq``.
+    The one likeness cut rule: for rows v, u with mean squared norm
+    ``mean_sumsq = (|v|^2 + |u|^2)/2``, the identity
+    ``|v - u|^2 = |v|^2 + |u|^2 - 2<v, u>`` makes a gap ``|v - u| < l_max``
+    the same as ``<v, u> > mean_sumsq - l_max^2/2``; the cut lowers that by
+    half of ``_GAP_SQ_MARGIN`` so rounding cannot drop a row the exact gap
+    would keep.  Squared norms of normalized rows are 1 up to rounding, and
+    far from 1 when a norm under- or overflowed, so each pair uses its own
+    mean.  Works elementwise on an array of ``mean_sumsq``.
     """
     return mean_sumsq - (l_max * l_max + _GAP_SQ_MARGIN) / 2.0
 
@@ -90,9 +92,10 @@ def direction_cut(mean_sumsq, l_max: float):
 class SimilarityIndex:
     """Normalized constraint rows supporting batched likeness queries.
 
-    Stores one unit normal and one normalized offset per constraint.  A
-    query shortlists the rows with one matrix-vector product against
-    ``direction_cut`` and with the offset test, then rechecks only those rows
+    Stores one unit normal, half its squared norm and one normalized offset
+    per constraint.  A query with unit normal u shortlists the rows v with
+    ``<v, u> - |v|^2/2 > direction_cut(|u|^2/2, l_max)``, one matrix-vector
+    product, and with the offset test, then rechecks only those rows
     with ``row_norms(unit - u) < l_max``, the kernel and unit rows a dense
     comparison of every row would use, so its verdict is the dense one bit
     for bit and pairwise ``likeness`` calls decide the same way.  A query
@@ -105,21 +108,14 @@ class SimilarityIndex:
         self._s_min = s_min
         cap = max(1, capacity)
         self._units = np.empty((cap, n), dtype=np.float64)
+        self._halves = np.empty(cap, dtype=np.float64)
         self._offsets = np.empty(cap, dtype=np.float64)
         self._count = 0
-        self._min_sumsq = 1.0  # smallest squared norm of a stored unit row
 
     @classmethod
-    def from_inequalities(
-        cls,
-        ineqs,
-        n: int,
-        l_max: float,
-        s_min: float,
-        extra_capacity: int = 0,
-    ) -> "SimilarityIndex":
+    def from_inequalities(cls, ineqs, n: int, l_max: float, s_min: float) -> "SimilarityIndex":
         ineqs = list(ineqs)
-        idx = cls(n, l_max, s_min, capacity=len(ineqs) + extra_capacity + 1)
+        idx = cls(n, l_max, s_min, capacity=len(ineqs) + 1)
         if ineqs:
             a = np.stack([q.a for q in ineqs])
             b = np.array([q.b for q in ineqs])
@@ -128,9 +124,9 @@ class SimilarityIndex:
                 raise ValueError("zero-norm coefficient vector cannot be indexed")
             k = len(ineqs)
             idx._units[:k] = a / norms[:, None]
+            idx._halves[:k] = row_sumsq(idx._units[:k]) / 2.0
             idx._offsets[:k] = b / norms
             idx._count = k
-            idx._min_sumsq = float(np.fmin.reduce(row_sumsq(idx._units[:k]), initial=1.0))
         return idx
 
     def __len__(self) -> int:
@@ -143,27 +139,25 @@ class SimilarityIndex:
         if self._count == self._units.shape[0]:
             grow = max(8, self._units.shape[0])
             self._units = np.concatenate([self._units, np.empty((grow, self._n))])
+            self._halves = np.concatenate([self._halves, np.empty(grow)])
             self._offsets = np.concatenate([self._offsets, np.empty(grow)])
         unit = a / nrm
         self._units[self._count] = unit
+        self._halves[self._count] = row_sumsq(unit) / 2.0
         self._offsets[self._count] = b / nrm
         self._count += 1
-        # min() keeps its first argument against nan: a nan row is never
-        # alike to anything, so it must not disable the cut
-        self._min_sumsq = min(self._min_sumsq, float(row_sumsq(unit)))
 
     def any_alike(self, a: np.ndarray, b: float) -> bool:
         nrm = float(row_norms(a))
         if nrm == 0.0:
             raise ValueError("zero-norm coefficient vector cannot be compared")
-        if self._count == 0:
-            return False
         u = a / nrm
         beta = b / nrm
-        units = self._units[: self._count]
-        cut = direction_cut(min(self._min_sumsq, float(row_sumsq(u))), self._l_max)
+        k = self._count
+        units = self._units[:k]
+        cut = direction_cut(row_sumsq(u) / 2.0, self._l_max)
         near = np.flatnonzero(
-            (units @ u > cut) & (np.abs(self._offsets[: self._count] - beta) < self._s_min)
+            (units @ u - self._halves[:k] > cut) & (np.abs(self._offsets[:k] - beta) < self._s_min)
         )
         return bool(near.size) and bool(np.any(row_norms(units[near] - u) < self._l_max))
 
@@ -178,8 +172,9 @@ class BoundingScreen:
     * rows -x_j <= 0 have offset 0 and squared gap about 2 + 2*u_j,
     * the diagonal row has unit normal ones/sqrt(n).
 
-    So one scalar offset test covers each family of n rows, and a direction
-    gap below l_max needs +-u_j above ``direction_cut``, about 1 - l_max^2/2.
+    So one scalar offset test covers each family of n rows, and since
+    +-e_j has squared norm exactly 1, a direction gap below l_max needs
+    ``+-u_j > direction_cut(|u|^2/2 + 1/2, l_max)``, about 1 - l_max^2/2.
     Every shortlisted row is rechecked with ``row_norms(unit - u)`` on the
     same unit row a dense ``SimilarityIndex`` of the bounding rows holds, so
     the verdict equals that index's ``any_alike`` bit for bit, in O(n) per
@@ -219,8 +214,7 @@ class BoundingScreen:
         units = a / nrm[:, None]
         beta = b / nrm
         s_min = self._s_min
-        # fmin, like min(1.0, x), keeps 1.0 against nan
-        cut = direction_cut(np.fmin(1.0, row_sumsq(units)), self._l_max)
+        cut = direction_cut(row_sumsq(units) / 2.0 + 0.5, self._l_max)
         hit = self._axis_alike(units, np.abs(self._alpha - beta) < s_min, 1.0, cut)
         hit |= self._axis_alike(units, np.abs(beta) < s_min, -1.0, cut)
         diag = np.flatnonzero(np.abs(self._diag_offset - beta) < s_min)

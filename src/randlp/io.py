@@ -87,13 +87,16 @@ def instance_to_text(inst: LPInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_instance(inst: LPInstance, dest) -> None:
-    """Serialize to a path or a writable text file object."""
-    text = instance_to_text(inst)
+def _write_text(text: str, dest) -> None:
     if hasattr(dest, "write"):
         dest.write(text)
     else:
         Path(dest).write_text(text)
+
+
+def write_instance(inst: LPInstance, dest) -> None:
+    """Serialize to a path or a writable text file object."""
+    _write_text(instance_to_text(inst), dest)
 
 
 def _floats(line: str, line_no: int, count: int) -> list[float]:
@@ -123,10 +126,10 @@ def read_instance(source) -> LPInstance:
     are recovered from the first bounding row and the last objective
     coefficient, the remaining parameters stay at their defaults.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
+    try:
+        text = source.read() if hasattr(source, "read") else Path(source).read_text()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"byte {err.start}: not {err.encoding} text") from None
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -194,8 +197,4 @@ def stats_to_text(stats: GenerationStats) -> str:
 
 
 def write_stats(stats: GenerationStats, dest) -> None:
-    text = stats_to_text(stats)
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    _write_text(stats_to_text(stats), dest)

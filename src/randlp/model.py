@@ -79,6 +79,14 @@ def validate_params(p: GeneratorParams) -> list[str]:
     out += _positive_finite(p, ("alpha", "theta", "rho", "l_max", "s_min", "a_max", "b_max"))
     if not p.theta <= p.alpha / 2:
         out.append("theta <= alpha/2")
+    # The diagonal bounding row's right-hand side; with theta <= alpha/2 it
+    # also bounds every objective coefficient theta*k, k <= n.
+    try:
+        diagonal = (p.n - 1) * p.alpha + p.alpha / 2
+    except OverflowError:  # n itself is beyond the float range
+        diagonal = math.inf
+    if p.n >= 1 and math.isfinite(p.alpha) and not math.isfinite(diagonal):
+        out.append("(n-1)*alpha + alpha/2 finite")
     if not p.rho < p.theta:
         out.append("rho < theta")
     if not p.l_max <= _L_MAX_CAP:

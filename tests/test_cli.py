@@ -166,6 +166,32 @@ def test_bench_rejects_bad_worker_list(capsys):
     assert "workers-list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, violation", [
+    (["--reps", "0"], "--reps >= 1"),
+    (["--workers-list", ","], "--workers-list is one or more integers"),
+])
+def test_bench_refuses_bad_arguments(capsys, flags, violation):
+    assert run_cli(["bench", "--n", "2", "--d", "0", *flags]) == 2
+    assert f"parameter violation: {violation}" in capsys.readouterr().err
+
+
+def test_gen_refuses_an_overflowing_diagonal(capsys):
+    rc = run_cli(["gen", "--n", "3", "--d", "0", "--alpha", "1e308", "--theta", "1e307",
+                  "--rho", "1e306", "--smin", "1e300"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parameter violation: (n-1)*alpha + alpha/2 finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "render"])
+def test_undecodable_input_exit_1(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe1 3 0 7\n")
+    assert run_cli([command, "--in", str(bad)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "randlp", "gen", "--n", "1", "--d", "0", "--seed", "7"],

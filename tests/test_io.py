@@ -315,3 +315,12 @@ def test_finite_row_whose_sum_overflows_still_reads():
     row = Inequality([1.7e308, 1.7e308], 1.7e308)
     big = LPInstance(n=2, support=inst.support, random=(row,), c=inst.c, params=inst.params)
     assert read_instance(io.StringIO(instance_to_text(big))) == big
+
+
+def test_undecodable_input_is_a_parse_error(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe1 3 0 7\n")
+    with pytest.raises(ParseError):
+        read_instance(bad)
+    with open(bad, encoding="utf-8") as fh, pytest.raises(ParseError, match="byte 0"):
+        read_instance(fh)

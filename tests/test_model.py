@@ -127,3 +127,11 @@ def test_n1_needs_bounding_rows_s_min_apart():
     assert "s_min <= alpha/2 when n = 1" in validate_params(GeneratorParams(n=1, d=0, s_min=150.0))
     assert validate_params(GeneratorParams(n=1, d=0, s_min=100.0)) == []
     assert validate_params(GeneratorParams(n=2, d=0, s_min=150.0)) == []
+
+
+def test_overflowing_diagonal_rhs_rejected():
+    # (n-1)*alpha + alpha/2 is 2.5e308 at n = 3 but 1.5e308 at n = 2
+    huge = dict(d=0, alpha=1e308, theta=1e307, rho=1e306, s_min=1e300)
+    assert validate_params(GeneratorParams(n=3, **huge)) == ["(n-1)*alpha + alpha/2 finite"]
+    assert validate_params(GeneratorParams(n=2, **huge)) == []
+    assert "(n-1)*alpha + alpha/2 finite" in validate_params(GeneratorParams(n=10**400))
