@@ -6,23 +6,25 @@ reference semantics: one candidate at a time, four checks in a fixed order
 improvement, dissimilarity).  Both engines run the master/worker round
 protocol in ``_generate``: the sequential engine is one producer on stream 0,
 the parallel engine one producer per worker on streams 1..L, stepped in
-worker order on the calling thread.  Producers process candidates in blocks
-for speed, but consume the random stream in the same word order and push
-every value through the same row kernels, so the accept/reject decisions,
-stats, and output instances match a one-at-a-time replay exactly.  A
-producer's three checks depend on the candidate alone, so each runs once
-over a block: the distance band and objective improvement over all its
-candidates, then likeness to the bounding rows over the survivors of those
-two, with ``BoundingScreen.alike_rows``, which gives the verdict of a dense
-index of the bounding rows without storing them.  Only the coordinator's
-check against the accepted rows runs one submission at a time.
+worker order on the calling thread.  Each producer is one ``_Producer``: it
+draws candidates in blocks for speed, but consumes the random stream in the
+same word order and pushes every value through the same row kernels, so the
+accept/reject decisions, stats, and output instances match a one-at-a-time
+replay exactly.  A producer's three checks depend on the candidate alone, so
+each runs once over a block: the distance band and objective improvement
+over all its candidates, then likeness to the bounding rows over the
+survivors of those two, with ``BoundingScreen.alike_rows``, which gives the
+verdict of a dense index of the bounding rows without storing them.  A block
+is then only its rows ``a`` and ``b`` and one fate code per candidate; the
+producer walks it in stream order, handing out survivors and tallying fates.
+Only the coordinator's check against the accepted rows runs one submission
+at a time.
 """
 from __future__ import annotations
 
 import enum
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,36 +122,26 @@ def filter_candidate(
     return CandidateVerdict.ACCEPTED
 
 
-# --- block machinery -------------------------------------------------------
+# --- the producer ----------------------------------------------------------
 
-# Candidate fates within a block. Zero-norm rows are skipped, never examined.
+# Candidate fates within a block, and the indices of a producer's tally.
+# Zero-norm rows are skipped: never examined, so no counter or budget sees them.
 _SKIP, _REJ_DIST, _REJ_OBJ, _REJ_SIM, _SURVIVOR = range(5)
 
-# A walker's tallies, one row each of a block's cumulative counts.
-_EXAMINED, _DISTANCE, _OBJECTIVE, _SIMILARITY = range(4)
 
+class _Producer:
+    """One worker of the round protocol: it draws candidate blocks off its
+    stream and walks them in stream order, handing out survivors of its
+    three checks and tallying every candidate's fate on the way.
 
-@dataclass
-class _Block:
-    a: np.ndarray              # (size, n) rows, flipped to center-feasible form
-    b: np.ndarray              # (size,)
-    cum: np.ndarray            # (4, size+1): column k counts the first k rows'
-                               # examined draws and each producer rejection
-    survivors: np.ndarray      # ascending positions that passed all three stages
-    size: int
-
-
-class _CandidateFeed:
-    """Draws candidate blocks off one stream and pre-runs the producer's
-    three stages on them vectorized: distance band and objective
-    improvement over the block, then likeness to the bounding rows over the
-    survivors of those two, in one ``BoundingScreen.alike_rows`` call.
-
-    Blocks start at 64 candidates and double up to a cap of about 256k
-    words, so a producer that needs few survivors (one of many workers, or
-    a small d) draws little beyond them.  Blocks are consecutive slices of
-    the stream, so the size schedule never changes which words a candidate
-    gets.
+    The checks run vectorized over a block: distance band and objective
+    improvement over all its candidates, then likeness to the bounding rows
+    over the survivors of those two, in one ``BoundingScreen.alike_rows``
+    call.  Blocks start at 64 candidates and double up to a cap of about
+    256k words, so a producer that needs few survivors (one of many
+    workers, or a small d) draws little beyond them.  Blocks are consecutive
+    slices of the stream, so the size schedule never changes which words a
+    candidate gets.
     """
 
     def __init__(
@@ -170,8 +162,15 @@ class _CandidateFeed:
         self._words_per = words_per
         self._cap = max(16, min(4096, 262144 // words_per))
         self._size = min(64, self._cap)
+        self.tally = np.zeros(5, dtype=np.int64)  # indexed by fate
+        # The current block, set by _next_block: rows a and b, one fate code
+        # each, the examined draws before each row, the survivor positions,
+        # and a cursor of survivors handed out and rows tallied.  It starts
+        # empty, so the first call draws.
+        self._code = np.zeros(0, dtype=np.uint8)
+        self._done = 0
 
-    def next_block(self) -> _Block:
+    def _next_block(self) -> None:
         p = self._p
         n = p.n
         size = self._size
@@ -207,33 +206,16 @@ class _CandidateFeed:
             code[stage3[alike]] = _REJ_SIM
             code[stage3[~alike]] = _SURVIVOR
 
-        fates = np.stack([code != _SKIP, code == _REJ_DIST, code == _REJ_OBJ, code == _REJ_SIM])
-        cum = np.zeros((4, size + 1), dtype=np.int64)
-        np.cumsum(fates, axis=1, out=cum[:, 1:])
-        return _Block(a=a, b=b, cum=cum, survivors=np.flatnonzero(code == _SURVIVOR), size=size)
-
-
-class _StreamWalker:
-    """Sequential view over a feed: yields survivors in exact stream order
-    while tallying the draws examined and rejected on the way."""
-
-    def __init__(self, feed: _CandidateFeed):
-        self._feed = feed
-        self.tally = np.zeros(4, dtype=np.int64)  # indexed by _EXAMINED, ...
-        self._block: _Block | None = None
-        self._si = 0
-        self._done = 0  # rows of the block already tallied
+        self._a, self._b, self._code = a, b, code
+        self._examined = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(code != _SKIP, out=self._examined[1:])
+        self._survivors = np.flatnonzero(code == _SURVIVOR)
+        self._si = self._done = 0
 
     def _consume(self, end: int) -> None:
         # Tally the block's rows up to, not including, end.
-        cum = self._block.cum
-        self.tally += cum[:, end] - cum[:, self._done]
+        self.tally += np.bincount(self._code[self._done : end], minlength=5)
         self._done = end
-
-    def _cut_after(self, count: int) -> None:
-        # Consume up to and including the count-th examined draw from here.
-        examined = self._block.cum[_EXAMINED]
-        self._consume(int(np.searchsorted(examined, examined[self._done] + count)))
 
     def next_survivor(self, room: int) -> tuple[np.ndarray, float, int] | None:
         """The next survivor as (a, b, draws), where draws counts the examined
@@ -241,28 +223,25 @@ class _StreamWalker:
         would all be rejections, with the counters cut at the room-th."""
         draws = 0
         while True:
-            if self._block is None:
-                self._block = self._feed.next_block()
-                self._si = 0
-                self._done = 0
-            blk = self._block
-            examined = blk.cum[_EXAMINED]
-            if self._si < len(blk.survivors):
-                pos = int(blk.survivors[self._si])
-                self._si += 1
-                pre = int(examined[pos] - examined[self._done])
-                if draws + pre >= room:
-                    self._cut_after(room - draws)
-                    return None
-                self._consume(pos + 1)
-                return blk.a[pos], float(blk.b[pos]), draws + pre + 1
-            tail = int(examined[blk.size] - examined[self._done])
-            if draws + tail >= room:
-                self._cut_after(room - draws)
+            if self._done == self._code.size:
+                self._next_block()
+            # Walk to just past the next survivor, or to the block's end.
+            examined = self._examined
+            hit = self._si < self._survivors.size
+            end = int(self._survivors[self._si]) + 1 if hit else self._code.size
+            step = int(examined[end] - examined[self._done])
+            if draws + step > room:
+                # The room-th examined draw comes first: tally up to it.  A
+                # block whose tail ends on it is walked whole, which adds
+                # only skips, and the cut lands at the next block's start.
+                target = examined[self._done] + room - draws
+                self._consume(int(np.searchsorted(examined, target)))
                 return None
-            self._consume(blk.size)
-            draws += tail
-            self._block = None
+            self._consume(end)
+            draws += step
+            if hit:
+                self._si += 1
+                return self._a[end - 1], float(self._b[end - 1]), draws
 
 
 # --- the round loop ---------------------------------------------------------
@@ -295,9 +274,8 @@ def _generate(
     h = hypercube_center(n, params.alpha)
     screen = BoundingScreen(n, params.alpha, params.l_max, params.s_min)
     index = SimilarityIndex(n, params.l_max, params.s_min, capacity=d + 1)
-    walkers = [
-        _StreamWalker(_CandidateFeed(derive_stream(params.seed, s), params, h, c, screen))
-        for s in stream_ids
+    producers = [
+        _Producer(derive_stream(params.seed, s), params, h, c, screen) for s in stream_ids
     ]
     sequential = list(stream_ids) == [0]
     accepted: list[Inequality] = []
@@ -307,12 +285,12 @@ def _generate(
     def stats() -> GenerationStats:
         # Every examined draw reached a terminal fate: the surplus producers
         # of the final round are never stepped, and are tallied apart.
-        tally = sum(w.tally for w in walkers).tolist()
+        tally = sum(p.tally for p in producers).tolist()
         return GenerationStats(
-            candidates_drawn=tally[_EXAMINED],
-            rejected_distance=tally[_DISTANCE],
-            rejected_objective=tally[_OBJECTIVE],
-            rejected_similarity=tally[_SIMILARITY] + coord_rej,
+            candidates_drawn=sum(tally[_REJ_DIST:]),
+            rejected_distance=tally[_REJ_DIST],
+            rejected_objective=tally[_REJ_OBJ],
+            rejected_similarity=tally[_REJ_SIM] + coord_rej,
             coordinator_rejected_similarity=0 if sequential else coord_rej,
             discarded_surplus=discarded,
             rounds=0 if sequential else rounds,
@@ -333,11 +311,11 @@ def _generate(
 
     while len(accepted) < d:
         rounds += 1
-        for k, walker in enumerate(walkers):
+        for k, producer in enumerate(producers):
             if len(accepted) == d:
-                discarded += len(walkers) - k
+                discarded += len(producers) - k
                 break
-            survivor = walker.next_survivor(budget - attempts)
+            survivor = producer.next_survivor(budget - attempts)
             if survivor is None:
                 raise stalled()
             a, b, draws = survivor

@@ -57,11 +57,16 @@ def _positive_finite(p: GeneratorParams, names) -> list[str]:
 
 
 def bound_violations(p: GeneratorParams) -> list[str]:
-    """The conditions of ``validate_params`` on rho, l_max and s_min alone,
-    the acceptance bounds an instance file does not store."""
+    """The conditions of ``validate_params`` on rho alone and on l_max and
+    s_min, the acceptance bounds an instance file does not store; the n = 1
+    rule reads the n and alpha the file does store."""
     out = _positive_finite(p, ("rho", "l_max", "s_min"))
     if not p.l_max <= _L_MAX_CAP:
         out.append(f"l_max <= {_L_MAX_CAP}")
+    # At n = 1 the bounding rows x <= alpha and x <= alpha/2 share a unit
+    # normal, so their offsets must stay s_min apart.
+    if p.n == 1 and not p.s_min <= p.alpha / 2:
+        out.append("s_min <= alpha/2 when n = 1")
     return out
 
 
@@ -76,7 +81,11 @@ def validate_params(p: GeneratorParams) -> list[str]:
         out.append("n >= 1")
     if p.d < 0:
         out.append("d >= 0")
-    out += _positive_finite(p, ("alpha", "theta", "rho", "l_max", "s_min", "a_max", "b_max"))
+    out += _positive_finite(p, ("alpha", "theta", "a_max", "b_max"))
+    # Every coefficient at most a_max squares to 0 here: each draw is a
+    # zero-norm row, skipped without counting toward the stall budget.
+    if 0 < p.a_max < math.inf and p.a_max * p.a_max == 0:
+        out.append("a_max*a_max > 0")
     if not p.theta <= p.alpha / 2:
         out.append("theta <= alpha/2")
     # The diagonal bounding row's right-hand side; with theta <= alpha/2 it
@@ -89,12 +98,7 @@ def validate_params(p: GeneratorParams) -> list[str]:
         out.append("(n-1)*alpha + alpha/2 finite")
     if not p.rho < p.theta:
         out.append("rho < theta")
-    if not p.l_max <= _L_MAX_CAP:
-        out.append(f"l_max <= {_L_MAX_CAP}")
-    # At n = 1 the bounding rows x <= alpha and x <= alpha/2 share a unit
-    # normal, so their offsets must stay s_min apart.
-    if p.n == 1 and not p.s_min <= p.alpha / 2:
-        out.append("s_min <= alpha/2 when n = 1")
+    out += bound_violations(p)
     if not 0 <= p.seed < 2**64:
         out.append("0 <= seed < 2**64")
     if p.workers < 1:

@@ -217,6 +217,21 @@ def test_n1_with_s_min_above_half_alpha_exits_2(capsys):
     assert "s_min <= alpha/2 when n = 1" in capsys.readouterr().err
 
 
+def test_gen_refuses_an_a_max_whose_square_underflows(capsys):
+    assert validate_params(GeneratorParams(n=2, d=1, a_max=1e-200)) == ["a_max*a_max > 0"]
+    assert run_cli(["gen", "--n", "2", "--d", "1", "--amax", "1e-200"]) == 2
+    assert capsys.readouterr().err == "parameter violation: a_max*a_max > 0\n"
+
+
+def test_validate_applies_the_n1_rule_as_gen_does(tmp_path, capsys):
+    out = tmp_path / "n1.txt"
+    assert run_cli(["gen", "--n", "1", "--d", "0", "--out", str(out)]) == 0
+    assert run_cli(["validate", "--in", str(out), "--smin", "150"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parameter violation: s_min <= alpha/2 when n = 1\n"
+
+
 def test_validate_takes_the_bounds_the_file_does_not_store(tmp_path, capsys):
     out = tmp_path / "inst.txt"
     assert run_cli(["gen", "--n", "2", "--d", "3", "--seed", "1", "--rho", "10",

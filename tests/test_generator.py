@@ -23,6 +23,8 @@ from randlp import (
     instance_to_text,
     validate_instance,
 )
+from randlp.geometry import row_sumsq
+from randlp.rng import scale_units, words_to_units
 
 from conftest import make_params
 
@@ -195,6 +197,12 @@ def test_sequential_output_validates(demo_params):
     assert report.ok, report.violations
 
 
+# Coefficients below about 1.5e-162 square to 0, so at a_max=1e-161 about
+# one draw in seven is a zero-norm row: skipped, never examined, and counted
+# toward no tally or stall budget.  At the default a_max the odds are 2^-53.
+ZERO_NORM = GeneratorParams(n=1, d=2, seed=3, rho=10.0, s_min=20.0, a_max=1e-161, b_max=1e-157)
+
+
 def replay_reference(params):
     """One-at-a-time replay using only the public candidate operations."""
     support = list(build_support(params.n, params.alpha))
@@ -227,6 +235,7 @@ def replay_reference(params):
         # offsets at all (everything in (150, 200] is within 100 of the
         # bounding row at 200), so widen the band and tighten the threshold
         GeneratorParams(n=1, d=2, seed=5, rho=10.0, s_min=20.0),
+        ZERO_NORM,
     ],
 )
 def test_sequential_matches_candidate_level_replay(params):
@@ -398,6 +407,16 @@ SCREEN_PINS = [
     ({'n': 2, 'd': 12, 'seed': 1, 'workers': 3, 'l_max': 0.7, 's_min': 150.0, 'max_attempts': 20000},
      'no acceptance within 20000 consecutive draws (dominating reason: rejected_distance)',
      (30409, 23544, 6716, 148, 4, 0, 2)),
+    # stalls in the zero-norm regime of ZERO_NORM
+    ({'n': 1, 'd': 2, 'seed': 3, 'rho': 10.0, 's_min': 20.0, 'a_max': 1e-161, 'b_max': 1e-157, 'max_attempts': 500},
+     'no acceptance within 500 consecutive draws (dominating reason: rejected_distance)',
+     (836, 831, 1, 3, 0, 0, 0)),
+    ({'n': 1, 'd': 2, 'seed': 3, 'rho': 10.0, 's_min': 20.0, 'a_max': 1e-161, 'b_max': 1e-157, 'workers': 2, 'max_attempts': 700},
+     'no acceptance within 700 consecutive draws (dominating reason: rejected_distance)',
+     (700, 699, 1, 0, 0, 0, 1)),
+    ({'n': 1, 'd': 2, 'seed': 3, 'rho': 10.0, 's_min': 20.0, 'a_max': 1e-161, 'b_max': 1e-157, 'workers': 3, 'max_attempts': 700},
+     'no acceptance within 700 consecutive draws (dominating reason: rejected_distance)',
+     (700, 699, 1, 0, 0, 0, 1)),
 ]
 
 
@@ -412,3 +431,9 @@ def test_runs_with_many_screen_rejections_are_pinned(kwargs, outcome, counters):
         stats, got = err.stats, str(err)
     assert got == outcome
     assert astuple(stats)[:7] == counters
+
+
+def test_zero_norm_draws_are_common_at_a_tiny_a_max():
+    words = derive_stream(3, 0).raw_words(4 * 4000).reshape(4000, 4)
+    a = scale_units(words_to_units(words[:, 2:3]), 0.0, ZERO_NORM.a_max)
+    assert int(np.count_nonzero(row_sumsq(a) == 0.0)) == 613

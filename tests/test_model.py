@@ -8,8 +8,10 @@ from randlp import (
     LPInstance,
     build_objective,
     build_support,
+    generate_sequential,
     validate_params,
 )
+from randlp.model import ParameterError, bound_violations
 
 from conftest import make_params
 
@@ -135,3 +137,20 @@ def test_overflowing_diagonal_rhs_rejected():
     assert validate_params(GeneratorParams(n=3, **huge)) == ["(n-1)*alpha + alpha/2 finite"]
     assert validate_params(GeneratorParams(n=2, **huge)) == []
     assert "(n-1)*alpha + alpha/2 finite" in validate_params(GeneratorParams(n=10**400))
+
+
+def test_a_max_whose_square_underflows_is_refused():
+    # every coefficient squares to 0, so every draw is a zero-norm row that
+    # is skipped without counting toward the stall budget: no run would end
+    tiny = GeneratorParams(n=2, d=1, a_max=1e-200, max_attempts=1000)
+    assert validate_params(tiny) == ["a_max*a_max > 0"]
+    with pytest.raises(ParameterError, match=r"a_max\*a_max > 0"):
+        generate_sequential(tiny)
+    # squares of 1e-161 are subnormal but nonzero
+    assert validate_params(GeneratorParams(n=2, d=1, a_max=1e-161)) == []
+
+
+def test_bound_violations_hold_the_n1_rule():
+    assert bound_violations(GeneratorParams(n=1, d=0, s_min=150.0)) == ["s_min <= alpha/2 when n = 1"]
+    assert bound_violations(GeneratorParams(n=1, d=0, s_min=100.0)) == []
+    assert bound_violations(GeneratorParams(n=2, d=0, s_min=150.0)) == []
