@@ -77,8 +77,11 @@ def draw_candidate(stream: RngStream, params: GeneratorParams, h: np.ndarray) ->
     Consumes n+1 sign words then n+1 magnitude words per candidate, in one
     ``raw_words`` call; a stream without ``raw_words`` is read through its
     ``next_signs`` / ``next_reals`` / ``next_real`` draws in the same order.
-    An all-zero coefficient row is redrawn internally and never surfaces.
+    An all-zero coefficient row is redrawn internally and never surfaces;
+    params that ``validate_params`` refuses raise ``ParameterError`` first,
+    so an ``a_max`` whose square is 0 cannot redraw forever.
     """
+    _require_valid(params)
     n = params.n
     raw_words = getattr(stream, "raw_words", None)
     while True:

@@ -56,11 +56,20 @@ def _positive_finite(p: GeneratorParams, names) -> list[str]:
     return out
 
 
+def diagonal_rhs(n: int, alpha: float) -> float:
+    """Right-hand side of the diagonal bounding row: (n-1)*alpha + alpha/2."""
+    return (n - 1) * alpha + alpha / 2
+
+
 def bound_violations(p: GeneratorParams) -> list[str]:
-    """The conditions of ``validate_params`` on rho alone and on l_max and
-    s_min, the acceptance bounds an instance file does not store; the n = 1
-    rule reads the n and alpha the file does store."""
-    out = _positive_finite(p, ("rho", "l_max", "s_min"))
+    """The conditions of ``validate_params`` on rho, l_max and s_min, the
+    acceptance bounds an instance file does not store; ``rho < theta`` and
+    the n = 1 rule read the n, alpha and theta the file does store."""
+    out = []
+    # an infinite rho is reported as "rho finite" alone
+    if math.isfinite(p.rho) and not p.rho < p.theta:
+        out.append("rho < theta")
+    out += _positive_finite(p, ("rho", "l_max", "s_min"))
     if not p.l_max <= _L_MAX_CAP:
         out.append(f"l_max <= {_L_MAX_CAP}")
     # At n = 1 the bounding rows x <= alpha and x <= alpha/2 share a unit
@@ -91,13 +100,11 @@ def validate_params(p: GeneratorParams) -> list[str]:
     # The diagonal bounding row's right-hand side; with theta <= alpha/2 it
     # also bounds every objective coefficient theta*k, k <= n.
     try:
-        diagonal = (p.n - 1) * p.alpha + p.alpha / 2
+        diagonal = diagonal_rhs(p.n, p.alpha)
     except OverflowError:  # n itself is beyond the float range
         diagonal = math.inf
     if p.n >= 1 and math.isfinite(p.alpha) and not math.isfinite(diagonal):
         out.append("(n-1)*alpha + alpha/2 finite")
-    if not p.rho < p.theta:
-        out.append("rho < theta")
     out += bound_violations(p)
     if not 0 <= p.seed < 2**64:
         out.append("0 <= seed < 2**64")

@@ -3,12 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Inequality
-
-
-def diagonal_rhs(n: int, alpha: float) -> float:
-    """Right-hand side of the diagonal bounding row: (n-1)*alpha + alpha/2."""
-    return (n - 1) * alpha + alpha / 2
+from .model import Inequality, diagonal_rhs
 
 
 def support_layout(n: int, alpha: float):

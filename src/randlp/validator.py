@@ -8,6 +8,10 @@ bounds get a relative slack of 1e-9 so serialization round-trips can never
 flip them.  All strict comparisons go through the same row kernels the
 generator used, so a generated instance validates bit-for-bit.
 
+All checks share one stack of the rows, each at its own index: an unusable
+row is reported, zeroed and masked, and the pair walk normalizes the stack
+in place.
+
 ``verify_support_solution`` checks the known optimum of the bounding system
 by brute-force vertex enumeration, deliberately an independent code path from
 the generator (plain Gaussian elimination, no shared solver).
@@ -86,8 +90,7 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     if out:
         return ValidationReport(False, tuple(out))
 
-    expected_support = build_support(n, p.alpha)
-    for i, (got, want) in enumerate(zip(inst.support, expected_support)):
+    for i, (got, want) in enumerate(zip(inst.support, build_support(n, p.alpha))):
         if got != want:
             out.append(Violation(i, "bounding row mismatch", "row differs", "exact"))
     expected_c = build_objective(n, p.theta)
@@ -108,18 +111,19 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     for i in np.nonzero(finite & (norms == 0.0))[0]:
         out.append(Violation(int(i), "nonzero coefficient norm", 0.0, "> 0"))
     usable = finite & (norms > 0.0)
-    idx = np.flatnonzero(usable)
-    if idx.size < len(rows):
-        A, B, sumsq, norms = A[usable], B[usable], sumsq[usable], norms[usable]
+    # every row keeps its index; an unusable row is zeroed, so none of its
+    # nan or inf reaches the arithmetic below, and its results are masked
+    A[~usable] = 0.0
+    B[~usable] = 0.0
 
     h = hypercube_center(n, p.alpha)
     f_h = objective_value(inst.c, h)
-    # the usable rows from `first` on are random rows: distance band and
-    # objective improvement apply to those only
-    first = int(np.searchsorted(idx, len(inst.support)))
+    # rows from `first` on are random rows: distance band and objective
+    # improvement apply to those only
+    first = len(inst.support)
     ah = row_dots(A, h)
     # a one-row check did this arithmetic on Python floats, which overflow,
-    # and divide inf by inf, without a warning
+    # and divide inf by inf, without a warning; a zeroed row divides 0 by 0
     with np.errstate(over="ignore", invalid="ignore"):
         feasible = _within(ah, B)
         excess = ah[first:] - B[first:]
@@ -133,13 +137,12 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
 
     flagged = ~feasible
     flagged[first:] |= ~(above_rho & below_theta & improves)
-    for k in np.flatnonzero(flagged).tolist():
-        i = int(idx[k])
-        if not feasible[k]:
-            out.append(Violation(i, "center feasibility a.h <= b", float(ah[k]), float(B[k])))
-        if k < first:
+    for i in np.flatnonzero(flagged & usable).tolist():
+        if not feasible[i]:
+            out.append(Violation(i, "center feasibility a.h <= b", float(ah[i]), float(B[i])))
+        if i < first:
             continue
-        r = k - first
+        r = i - first
         if not above_rho[r]:
             out.append(Violation(i, "distance > rho", float(dist[r]), p.rho))
         if not below_theta[r]:
@@ -149,7 +152,11 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
                 Violation(i, "objective improvement at projection", float(f_proj[r]), f_h)
             )
 
-    out.extend(_pairwise_likeness_violations(rows, idx, A, B, norms, p.l_max, p.s_min))
+    # unit rows and normalized offsets, in place: an unusable row stays zero
+    norms[~usable] = 1.0
+    A /= norms[:, None]
+    B /= norms
+    out.extend(_pairwise_likeness_violations(rows, A, B, usable, p.l_max, p.s_min))
     return ValidationReport(not out, tuple(out))
 
 
@@ -158,45 +165,41 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
 _PAIR_BLOCK = 256
 
 
-def _pairwise_likeness_violations(rows, idx, a, b, nrm, l_max, s_min):
-    """All-pairs dissimilarity check, in row-major (i, j) order.
+def _pairwise_likeness_violations(rows, units, beta, usable, l_max, s_min):
+    """All-pairs dissimilarity check of the usable rows, in row-major (i, j) order.
 
-    ``a``, ``b`` and ``nrm`` stack the coefficients, right-hand sides and
-    norms of the usable rows ``rows[idx]``.  They are walked in blocks of
-    ``_PAIR_BLOCK``: each block's
-    slab ``units[lo:hi] @ units[lo+1:].T`` shortlists the pairs above their
-    ``direction_cut`` (a safety margin on the direction-gap bound), the
-    offset test runs on those pairs only, and each survivor is rechecked
-    with the exact scalar predicate, so the verdict never depends on BLAS
-    summation order.  Peak memory is O(_PAIR_BLOCK * m), not O(m^2).
+    ``units`` and ``beta`` hold the unit normal and the normalized offset of
+    every row of ``rows`` at its own index, zero where ``usable`` is False.
+    They are walked in blocks of ``_PAIR_BLOCK``: each block's slab
+    ``units[lo:hi] @ units[lo+1:].T`` shortlists the pairs above their
+    ``direction_cut`` (a safety margin on the direction-gap bound), a pair
+    with an unusable row is dropped, the offset test runs on the rest, and
+    each survivor is rechecked with the exact scalar predicate, so the
+    verdict never depends on BLAS summation order.  The reported gap is read
+    off the unit rows.  Peak memory is O(_PAIR_BLOCK * m), not O(m^2).
     """
-    k = idx.size
-    if k < 2:
-        return []
-    units = a / nrm[:, None]
-    beta = b / nrm
+    m = len(units)
     # <v_i, v_j> > (|v_i|^2 + |v_j|^2)/2 - l_max^2/2, per pair: a row whose
     # norm under- or overflowed lowers only its own cut
     half_sq = row_sumsq(units) / 2.0
     cut = direction_cut(half_sq, l_max)
     out = []
-    for lo in range(0, k - 1, _PAIR_BLOCK):
-        hi = min(lo + _PAIR_BLOCK, k - 1)
+    for lo in range(0, m - 1, _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, m - 1)
         slab = units[lo:hi] @ units[lo + 1 :].T
         slab -= half_sq[lo + 1 :]
         ii, jj = np.nonzero(slab > cut[lo:hi, None])
         del slab  # free it before the next block's slab is allocated
         ii += lo
         jj += lo + 1
-        keep = (jj > ii) & (np.abs(beta[ii] - beta[jj]) < s_min)
+        keep = (jj > ii) & usable[ii] & usable[jj] & (np.abs(beta[ii] - beta[jj]) < s_min)
         for i, j in zip(ii[keep].tolist(), jj[keep].tolist()):
-            qi, qj = rows[idx[i]], rows[idx[j]]
-            if likeness(qi, qj, l_max, s_min):
-                gap = float(row_norms(qi.a / float(row_norms(qi.a)) - qj.a / float(row_norms(qj.a))))
+            if likeness(rows[i], rows[j], l_max, s_min):
+                gap = float(row_norms(units[i] - units[j]))
                 out.append(
                     Violation(
-                        int(idx[j]),
-                        f"alike with constraint {int(idx[i])}",
+                        j,
+                        f"alike with constraint {i}",
                         f"direction gap {gap:.6g}",
                         f"< {l_max:g} is too similar",
                     )

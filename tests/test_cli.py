@@ -244,6 +244,17 @@ def test_validate_takes_the_bounds_the_file_does_not_store(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_validate_refuses_rho_not_below_the_file_theta(tmp_path, capsys):
+    out = tmp_path / "r0.txt"
+    assert run_cli(["gen", "--n", "2", "--d", "0", "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    # gen refuses the same rho for the theta (100) the file stores
+    assert run_cli(["validate", "--in", str(out), "--rho", "150"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parameter violation: rho < theta\n"
+
+
 @pytest.fixture
 def duplicate_row_file(tmp_path):
     """A generated file whose last random row is copied over the one before."""

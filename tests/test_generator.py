@@ -95,6 +95,23 @@ def test_draw_respects_magnitude_caps():
         assert abs(q.b) <= 11.0
 
 
+def test_draw_refuses_a_max_whose_square_is_zero():
+    class Bounded:
+        """A stream that gives up after 1,000 draws instead of hanging."""
+
+        def __init__(self, stream):
+            self.stream, self.calls = stream, 0
+
+        def raw_words(self, count):
+            self.calls += 1
+            if self.calls > 1000:
+                raise RuntimeError("draw_candidate kept redrawing zero rows")
+            return self.stream.raw_words(count)
+
+    with pytest.raises(ParameterError, match=r"a_max\*a_max > 0"):
+        draw_candidate(Bounded(derive_stream(0, 0)), GeneratorParams(n=2, a_max=1e-200), H2)
+
+
 def _filter(q, existing=None, params=None):
     params = params or make_params()
     c = build_objective(2, params.theta)

@@ -274,7 +274,8 @@ def all_pairs_reference(inst):
     """Every pair of usable rows checked with ``likeness``, row-major."""
     rows = inst.constraints
     p = inst.params
-    usable = [i for i, q in enumerate(rows) if float(np.abs(q.a).max()) > 0.0]
+    usable = [i for i, q in enumerate(rows)
+              if np.isfinite(q.a).all() and math.isfinite(q.b) and float(row_norms(q.a)) > 0.0]
     return [
         (j, f"alike with constraint {i}")
         for x, i in enumerate(usable)
@@ -308,8 +309,32 @@ def tampered_tall():
         return bad, all_pairs_reference(bad)
 
 
+@pytest.fixture(scope="module")
+def unusable_bounding_row():
+    # bounding row 3 is zeroed, made nan or scaled until its norm underflows
+    # to 0; after it, constraint 30 doubles constraint 20, constraint 40 is
+    # a near-copy of constraint 12 and constraint 45 triples bounding row 7
+    inst, _ = generate_sequential(GeneratorParams(n=5, d=40, seed=2))
+    cases = []
+    for edit in (lambda a, b: (0.0 * a, b),
+                 with_a0(math.nan),
+                 lambda a, b: (1e-170 * a, 1e-170 * b)):
+        rows = list(inst.constraints)
+        rows[3] = Inequality(*edit(rows[3].a.copy(), rows[3].b))
+        rows[30] = Inequality(2.0 * rows[20].a, 2.0 * rows[20].b)
+        tilt = rows[12].a.copy()
+        tilt[1] += 1e-3 * float(np.abs(tilt).max())
+        rows[40] = Inequality(tilt, rows[12].b)
+        rows[45] = Inequality(3.0 * rows[7].a, 3.0 * rows[7].b)
+        k = len(inst.support)
+        bad = replace(inst, support=tuple(rows[:k]), random=tuple(rows[k:]))
+        cases.append((bad, all_pairs_reference(bad)))
+    return cases
+
+
 @pytest.mark.parametrize("block", [1, 7, 256])
-def test_blocked_pairs_match_all_pairs_reference(tampered_tall, block, monkeypatch):
+def test_blocked_pairs_match_all_pairs_reference(tampered_tall, unusable_bounding_row, block,
+                                                 monkeypatch):
     inst, want = tampered_tall
     assert {(257, "alike with constraint 256"), (300, "alike with constraint 5"),
             (290, "alike with constraint 256"), (330, "alike with constraint 0"),
@@ -328,20 +353,34 @@ def test_blocked_pairs_match_all_pairs_reference(tampered_tall, block, monkeypat
     # the shortlist stays far below the 57,630 pairs
     assert len(rechecks) < inst.m
 
+    for inst, want in unusable_bounding_row:
+        assert {(30, "alike with constraint 20"), (40, "alike with constraint 12"),
+                (45, "alike with constraint 7")} <= set(want)
+        rechecks.clear()
+        assert alike_violations(validate_instance(inst)) == want
+        # no pair with the unusable row reaches the recheck
+        assert all(q is not inst.constraints[3] for args in rechecks for q in args[:2])
+        assert len(rechecks) < inst.m
+
 
 def test_validation_memory_grows_with_m_not_m_squared():
     # a tall-par-sized instance: m = 2041 rows, where an m x m Gram matrix
-    # alone would take 8 m^2 = 33 MB
-    inst, _ = generate_parallel(GeneratorParams(n=20, d=2000, seed=0, workers=2))
-    m = inst.m
-    tracemalloc.start()
-    try:
-        report = validate_instance(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.ok
-    assert peak < 2 * m * m, peak
+    # alone would take 8 m^2 = 33 MB; and a wide one, m = 1101 rows of
+    # n = 400, whose stack of rows alone takes 8 m n = 3.5 MB
+    tall, _ = generate_parallel(GeneratorParams(n=20, d=2000, seed=0, workers=2))
+    wide, _ = generate_sequential(GeneratorParams(n=400, d=300, seed=1))
+    peaks = []
+    for inst in (tall, wide):
+        tracemalloc.start()
+        try:
+            report = validate_instance(inst)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+    assert peaks[0] < 2 * tall.m * tall.m, peaks
+    # the stack and one temporary of its size at a time, no second copy
+    assert peaks[1] < 3.2 * 8 * wide.m * wide.n, peaks
 
 
 # --- row conditions over one stack versus one row at a time -------------------
@@ -438,6 +477,12 @@ TAMPERINGS = {
     "norm overflows": [(27, lambda a, b: (1e200 * a, 1e200 * b))],
     "norm underflows": [(28, lambda a, b: (1e-170 * a, 1e-170 * b))],
     "huge right-hand side": [(29, lambda a, b: (a, 1.7976931348623157e308))],
+    # an unusable bounding row, then random rows that fail their conditions
+    "zero bounding row": [(4, lambda a, b: (0.0 * a, b)), (20, lambda a, b: (-a, -b)),
+                          (23, lambda a, b: (a, b + 10.0 * float(row_norms(a)) * 100.0))],
+    "nan bounding row": [(6, with_a0(math.nan)), (21, through_center)],
+    "underflowing bounding row": [(10, lambda a, b: (1e-170 * a, 1e-170 * b)),
+                                  (22, lambda a, b: (-a, -b))],
 }
 TAMPERINGS["all at once"] = [
     edit
