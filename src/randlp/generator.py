@@ -16,9 +16,11 @@ over all its candidates, then likeness to the bounding rows over the
 survivors of those two, with ``BoundingScreen.alike_rows``, which gives the
 verdict of a dense index of the bounding rows without storing them.  A block
 is then only its rows ``a`` and ``b`` and one fate code per candidate; the
-producer walks it in stream order, handing out survivors and tallying fates.
-Only the coordinator's check against the accepted rows runs one submission
-at a time.
+producer hands out its survivors in stream order and tallies the fates of the
+rows they consume.  The coordinator's check against the accepted rows runs
+over a batch too: the survivors the producers' current blocks already hold,
+taken in protocol order, are judged in one ``SimilarityIndex.any_alike``
+call, which gives the verdicts of judging them one at a time.
 """
 from __future__ import annotations
 
@@ -169,9 +171,11 @@ class _Producer:
         # The current block, set by _next_block: rows a and b, one fate code
         # each, the examined draws before each row, the survivor positions,
         # and a cursor of survivors handed out and rows tallied.  It starts
-        # empty, so the first call draws.
+        # empty, so the first refill draws.
         self._code = np.zeros(0, dtype=np.uint8)
-        self._done = 0
+        self._examined = np.zeros(1, dtype=np.int64)
+        self._survivors = np.zeros(0, dtype=np.intp)
+        self._si = self._done = 0
 
     def _next_block(self) -> None:
         p = self._p
@@ -220,34 +224,52 @@ class _Producer:
         self.tally += np.bincount(self._code[self._done : end], minlength=5)
         self._done = end
 
-    def next_survivor(self, room: int) -> tuple[np.ndarray, float, int] | None:
-        """The next survivor as (a, b, draws), where draws counts the examined
-        draws up to and including it; None when ``room`` examined draws
+    def refill(self, room: int) -> int | None:
+        """Make the current block hold a survivor not yet handed out: walk
+        the rest of a spent block and draw blocks until one does.  Returns
+        the examined draws walked, or None when ``room`` examined draws
         would all be rejections, with the counters cut at the room-th."""
         draws = 0
-        while True:
-            if self._done == self._code.size:
-                self._next_block()
-            # Walk to just past the next survivor, or to the block's end.
-            examined = self._examined
-            hit = self._si < self._survivors.size
-            end = int(self._survivors[self._si]) + 1 if hit else self._code.size
-            step = int(examined[end] - examined[self._done])
+        while self._si == self._survivors.size:
+            step = int(self._examined[-1] - self._examined[self._done])
             if draws + step > room:
-                # The room-th examined draw comes first: tally up to it.  A
-                # block whose tail ends on it is walked whole, which adds
-                # only skips, and the cut lands at the next block's start.
-                target = examined[self._done] + room - draws
-                self._consume(int(np.searchsorted(examined, target)))
+                self.cut(room - draws)
                 return None
-            self._consume(end)
+            self._consume(self._code.size)
             draws += step
-            if hit:
-                self._si += 1
-                return self._a[end - 1], float(self._b[end - 1]), draws
+            self._next_block()
+        return draws
+
+    def pending(self) -> int:
+        """Survivors the current block holds beyond those handed out."""
+        return self._survivors.size - self._si
+
+    def lookahead(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``count`` survivors of the current block, not yet handed
+        out: rows a and b, and the examined draws after the previous one (or
+        the cursor) up to and including each."""
+        rows = self._survivors[self._si : self._si + count]
+        draws = np.diff(self._examined[np.concatenate(([self._done], rows + 1))])
+        return self._a[rows], self._b[rows], draws
+
+    def take(self, count: int) -> None:
+        """Hand out the next ``count`` survivors, tallying the rows up to and
+        including the last of them."""
+        self._si += count
+        self._consume(int(self._survivors[self._si - 1]) + 1)
+
+    def cut(self, room: int) -> None:
+        """Tally up to the room-th examined draw after the cursor.  When a
+        block's tail ends on it, the block is walked whole, which adds only
+        skips, and the cut lands at the next block's start."""
+        examined = self._examined
+        self._consume(int(np.searchsorted(examined, examined[self._done] + room)))
 
 
 # --- the round loop ---------------------------------------------------------
+
+# The most submissions the coordinator judges in one batch.
+_BATCH = 64
 
 
 def _generate(
@@ -257,12 +279,24 @@ def _generate(
 
     Each round steps the producers in stream order on the calling thread.  A
     producer walks its stream to the next survivor of the distance,
-    objective and bounding-row stages and submits it; the
-    coordinator rejects a submission alike to an accepted row, and once d
-    rows are accepted counts the producers not yet stepped in that round as
+    objective and bounding-row stages and submits it; the coordinator
+    rejects a submission alike to an accepted row, and once d rows are
+    accepted counts the producers not yet stepped in that round as
     discarded_surplus, without stepping them.
-    Producers never see the coordinator's state, so judging each submission
-    as it arrives gives the verdicts of judging the whole round afterwards.
+
+    The coordinator judges submissions in batches.  A batch takes them in
+    protocol order, round robin over the producers, for as long as each
+    producer's current block still holds a survivor, and at most _BATCH;
+    only its first producer may draw a block to get one, so no word is drawn
+    that judging one submission at a time would not draw.  One
+    ``SimilarityIndex.any_alike`` call gives every verdict of the batch, an
+    earlier submission of it counting only when accepted, and the batch is
+    then walked in order with plain integers: the examined draws before
+    each submission, the budget, the stop at d and the stall cut.
+    Producers tally only the rows the walk consumes, and the accepted rows
+    go to the index in one ``append``.  Producers never see the
+    coordinator's state, so the verdicts, counters and output are those of
+    judging each submission as it arrives.
 
     One budget covers all producers: max_attempts examined draws in a row,
     in the order the producers are stepped, without an acceptance stall the
@@ -280,9 +314,16 @@ def _generate(
     producers = [
         _Producer(derive_stream(params.seed, s), params, h, c, screen) for s in stream_ids
     ]
+    workers = len(producers)
     sequential = list(stream_ids) == [0]
-    accepted: list[Inequality] = []
-    coord_rej = discarded = rounds = 0
+    # The accepted rows.  They become Inequality objects, one array each,
+    # only once all are in, so those arrays are not scattered among the
+    # batches' temporaries on the heap.
+    rows_a = np.empty((d, n))
+    rows_b = np.empty(d)
+    filled = 0
+    coord_rej = discarded = 0
+    steps = 0  # producers stepped, the one that stalls included
     attempts = 0  # examined draws since the last acceptance, over all producers
 
     def stats() -> GenerationStats:
@@ -296,7 +337,7 @@ def _generate(
             rejected_similarity=tally[_REJ_SIM] + coord_rej,
             coordinator_rejected_similarity=0 if sequential else coord_rej,
             discarded_surplus=discarded,
-            rounds=0 if sequential else rounds,
+            rounds=0 if sequential else -(-steps // workers),
             wall_time_ms=(time.perf_counter() - t0) * 1000.0,
         )
 
@@ -312,28 +353,60 @@ def _generate(
             f"no acceptance within {budget} consecutive draws (dominating reason: {reason})", s
         )
 
-    while len(accepted) < d:
-        rounds += 1
-        for k, producer in enumerate(producers):
-            if len(accepted) == d:
-                discarded += len(producers) - k
+    while filled < d:
+        # producers in the batch's protocol order, from the one due next
+        order = [producers[(steps + j) % workers] for j in range(workers)]
+        walked = order[0].refill(budget - attempts)
+        if walked is None:
+            steps += 1
+            raise stalled()
+        attempts += walked
+        size = min(_BATCH, min(j + workers * p.pending() for j, p in enumerate(order)))
+        a = np.empty((size, n))
+        b = np.empty(size)
+        draws = np.empty(size, dtype=np.int64)
+        for j, p in enumerate(order[:size]):
+            a[j::workers], b[j::workers], draws[j::workers] = p.lookahead(
+                len(range(j, size, workers))
+            )
+        alike = index.any_alike(a, b).tolist()
+
+        taken = [0] * workers  # per producer, in batch order
+        fresh: list[int] = []  # the accepted rows of the batch
+        stall = cut = False
+        for t, dt in enumerate(draws.tolist()):
+            steps += 1
+            if attempts + dt > budget:
+                stall = cut = True
                 break
-            survivor = producer.next_survivor(budget - attempts)
-            if survivor is None:
-                raise stalled()
-            a, b, draws = survivor
-            attempts += draws
-            if index.any_alike(a, b):
+            attempts += dt
+            taken[t % workers] += 1
+            if alike[t]:
                 coord_rej += 1
                 if attempts >= budget:
-                    raise stalled()
+                    stall = True
+                    break
             else:
-                q = Inequality(a, b)
-                accepted.append(q)
-                index.append(q.a, q.b)
+                fresh.append(t)
                 attempts = 0
+                if filled + len(fresh) == d:
+                    break
+        for p, count in zip(order, taken):
+            if count:
+                p.take(count)
+        if cut:
+            order[t % workers].cut(budget - attempts)
+        if fresh:
+            stop = filled + len(fresh)
+            rows_a[filled:stop], rows_b[filled:stop] = a[fresh], b[fresh]
+            index.append(rows_a[filled:stop], rows_b[filled:stop])
+            filled = stop
+        if stall:
+            raise stalled()
 
-    instance = LPInstance(n=n, support=tuple(support), random=tuple(accepted), c=c, params=params)
+    discarded = -steps % workers
+    random = tuple(map(Inequality, rows_a, rows_b))
+    instance = LPInstance(n=n, support=tuple(support), random=random, c=c, params=params)
     return instance, stats()
 
 

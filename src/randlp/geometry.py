@@ -94,12 +94,18 @@ class SimilarityIndex:
 
     Stores one unit normal, half its squared norm and one normalized offset
     per constraint.  A query with unit normal u shortlists the rows v with
-    ``<v, u> - |v|^2/2 > direction_cut(|u|^2/2, l_max)``, one matrix-vector
-    product, and with the offset test, then rechecks only those rows
-    with ``row_norms(unit - u) < l_max``, the kernel and unit rows a dense
-    comparison of every row would use, so its verdict is the dense one bit
-    for bit and pairwise ``likeness`` calls decide the same way.  A query
-    builds one vector per stored row, not a rows x n difference matrix.
+    ``<v, u> - |v|^2/2 > direction_cut(|u|^2/2, l_max)`` and with the offset
+    test, then rechecks only those rows with ``row_norms(v - u) < l_max``,
+    the kernel and unit rows a dense comparison of every row would use, so
+    its verdict is the dense one bit for bit and pairwise ``likeness`` calls
+    decide the same way.
+
+    ``any_alike`` and ``append`` take one row or a stack of K rows.  A stack
+    is judged as if its rows were queried one at a time in order, each
+    appended when it is not alike: one K x count product against the stored
+    rows and one K x K product for the pairs within the stack whose row
+    comes first, both through the same shortlist and recheck, then a walk
+    of the alike pairs in stack order.
     """
 
     def __init__(self, n: int, l_max: float, s_min: float, capacity: int = 8):
@@ -117,49 +123,83 @@ class SimilarityIndex:
         ineqs = list(ineqs)
         idx = cls(n, l_max, s_min, capacity=len(ineqs) + 1)
         if ineqs:
-            a = np.stack([q.a for q in ineqs])
-            b = np.array([q.b for q in ineqs])
-            norms = row_norms(a)
-            if np.any(norms == 0.0):
-                raise ValueError("zero-norm coefficient vector cannot be indexed")
-            k = len(ineqs)
-            idx._units[:k] = a / norms[:, None]
-            idx._halves[:k] = row_sumsq(idx._units[:k]) / 2.0
-            idx._offsets[:k] = b / norms
-            idx._count = k
+            idx.append(np.stack([q.a for q in ineqs]), np.array([q.b for q in ineqs]))
         return idx
 
     def __len__(self) -> int:
         return self._count
 
-    def append(self, a: np.ndarray, b: float) -> None:
-        nrm = float(row_norms(a))
-        if nrm == 0.0:
-            raise ValueError("zero-norm coefficient vector cannot be indexed")
-        if self._count == self._units.shape[0]:
-            grow = max(8, self._units.shape[0])
+    @staticmethod
+    def _normalized(a, b, verb: str):
+        # unit rows, half their squared norms and normalized offsets of a stack
+        nrm = row_norms(a)
+        if np.any(nrm == 0.0):
+            raise ValueError(f"zero-norm coefficient vector cannot be {verb}")
+        units = a / nrm[:, None]
+        return units, row_sumsq(units) / 2.0, b / nrm
+
+    def _alike_pairs(self, rows, queries, earlier: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The (query, row) pairs that are alike, in order of query then row.
+
+        ``rows`` and ``queries`` are (unit rows, halves, offsets).  One
+        product shortlists the pairs past the direction cut; the offset test
+        and the exact gap then run on the shortlist only.  With ``earlier``,
+        only pairs whose row comes before the query count."""
+        units, halves, offsets = rows
+        q_units, q_halves, q_offsets = queries
+        dots = q_units @ units.T
+        dots -= halves
+        near = np.flatnonzero(dots > direction_cut(q_halves, self._l_max)[:, None])
+        # flatnonzero and divmod: np.nonzero of a 2-D mask is many times slower
+        qi, ri = np.divmod(near, dots.shape[1])
+        keep = np.abs(offsets[ri] - q_offsets[qi]) < self._s_min
+        if earlier:
+            keep &= ri < qi
+        qi, ri = qi[keep], ri[keep]
+        hit = row_norms(units[ri] - q_units[qi]) < self._l_max
+        return qi[hit], ri[hit]
+
+    def append(self, a: np.ndarray, b) -> None:
+        """Store one row, or each row of a stack with its entry of ``b``."""
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim == 1:
+            a, b = a[None, :], [b]
+        units, halves, offsets = self._normalized(a, np.asarray(b, dtype=np.float64), "indexed")
+        start = self._count
+        stop = start + len(units)
+        cap = self._units.shape[0]
+        if stop > cap:
+            grow = max(stop - cap, 8, cap)
             self._units = np.concatenate([self._units, np.empty((grow, self._n))])
             self._halves = np.concatenate([self._halves, np.empty(grow)])
             self._offsets = np.concatenate([self._offsets, np.empty(grow)])
-        unit = a / nrm
-        self._units[self._count] = unit
-        self._halves[self._count] = row_sumsq(unit) / 2.0
-        self._offsets[self._count] = b / nrm
-        self._count += 1
+        self._units[start:stop] = units
+        self._halves[start:stop] = halves
+        self._offsets[start:stop] = offsets
+        self._count = stop
 
-    def any_alike(self, a: np.ndarray, b: float) -> bool:
-        nrm = float(row_norms(a))
-        if nrm == 0.0:
-            raise ValueError("zero-norm coefficient vector cannot be compared")
-        u = a / nrm
-        beta = b / nrm
+    def any_alike(self, a: np.ndarray, b):
+        """For one row, whether it is alike to a stored row, as a ``bool``.
+
+        For a stack of rows with right-hand sides ``b``, a bool array: per
+        row, whether it is alike to a stored row or to an earlier row of the
+        stack that is not itself alike, the verdicts of querying the rows in
+        order and appending each one that is not alike.
+        """
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim == 1:
+            return bool(self.any_alike(a[None, :], np.array([b], dtype=np.float64))[0])
+        stack = self._normalized(a, np.asarray(b, dtype=np.float64), "compared")
         k = self._count
-        units = self._units[:k]
-        cut = direction_cut(row_sumsq(u) / 2.0, self._l_max)
-        near = np.flatnonzero(
-            (units @ u - self._halves[:k] > cut) & (np.abs(self._offsets[:k] - beta) < self._s_min)
-        )
-        return bool(near.size) and bool(np.any(row_norms(units[near] - u) < self._l_max))
+        stored = (self._units[:k], self._halves[:k], self._offsets[:k])
+        alike = np.zeros(len(a), dtype=bool)
+        alike[self._alike_pairs(stored, stack)[0]] = True
+        # pairs (i, j) with j < i come in order of i, so row j is final
+        # before row i is looked at
+        for i, j in zip(*(x.tolist() for x in self._alike_pairs(stack, stack, earlier=True))):
+            if not alike[j]:
+                alike[i] = True
+        return alike
 
 
 class BoundingScreen:

@@ -68,10 +68,11 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     Each row's own conditions are evaluated once over a stack of all rows,
     with the row kernels a one-row check uses, so every verdict and every
     measured value equals that of checking the rows one at a time.  The
-    violations come out in that order too: structural, bounding rows and
-    objective, non-finite rows, zero rows, then per row its center
-    feasibility, distance band and objective improvement, then the alike
-    pairs.
+    violations come out in that order too: structural (with the conditions
+    of ``validate_params`` on the alpha and theta that a file stores),
+    bounding rows and objective, non-finite rows, zero rows, then per row its
+    center feasibility, distance band and objective improvement, then the
+    alike pairs.
     """
     out: list[Violation] = []
     n = inst.n
@@ -87,6 +88,12 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     bad_shape = [i for i, q in enumerate(rows) if q.a.shape[0] != n]
     for i in bad_shape:
         out.append(Violation(i, "coefficient row length", rows[i].a.shape[0], n))
+    # the conditions of validate_params on the parameters a file stores
+    for name in ("alpha", "theta"):
+        if not getattr(p, name) > 0:
+            out.append(Violation(-1, f"{name} > 0", getattr(p, name), 0.0))
+    if not p.theta <= p.alpha / 2:
+        out.append(Violation(-1, "theta <= alpha/2", p.theta, p.alpha / 2))
     if out:
         return ValidationReport(False, tuple(out))
 

@@ -255,6 +255,33 @@ def test_validate_refuses_rho_not_below_the_file_theta(tmp_path, capsys):
     assert captured.err == "parameter violation: rho < theta\n"
 
 
+def test_validate_reports_stored_parameters_that_gen_refuses(tmp_path, capsys):
+    out = tmp_path / "p.txt"
+    assert run_cli(["gen", "--n", "2", "--d", "0", "--out", str(out)]) == 0
+    assert run_cli(["gen", "--n", "2", "--d", "0", "--theta", "150"]) == 2
+    assert "theta <= alpha/2" in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert lines[1:] == ["1 0 200", "0 1 200", "-1 0 0", "0 -1 0", "1 1 300", "200 100"]
+    # theta = 150 > alpha/2
+    out.write_text("\n".join(lines[:-1] + ["300 150"]) + "\n")
+    assert run_cli(["validate", "--in", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "structure: theta <= alpha/2 (measured 150.0, bound 100.0)",
+        "invalid: 1 violation(s)",
+    ]
+    # alpha = 0: the bounding rows leave one feasible point
+    zero = [lines[0], "1 0 0", "0 1 0", "-1 0 0", "0 -1 0", "1 1 0", "200 100"]
+    out.write_text("\n".join(zero) + "\n")
+    assert run_cli(["validate", "--in", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "structure: alpha > 0 (measured 0.0, bound 0.0)",
+        "structure: theta <= alpha/2 (measured 100.0, bound 0.0)",
+        "invalid: 2 violation(s)",
+    ]
+
+
 @pytest.fixture
 def duplicate_row_file(tmp_path):
     """A generated file whose last random row is copied over the one before."""

@@ -434,6 +434,18 @@ SCREEN_PINS = [
     ({'n': 1, 'd': 2, 'seed': 3, 'rho': 10.0, 's_min': 20.0, 'a_max': 1e-161, 'b_max': 1e-157, 'workers': 3, 'max_attempts': 700},
      'no acceptance within 700 consecutive draws (dominating reason: rejected_distance)',
      (700, 699, 1, 0, 0, 0, 1)),
+    # a stall between two survivors of one block, after coordinator
+    # rejections: the batch the coordinator judged stops part-way
+    ({'n': 2, 'd': 30, 'seed': 0, 'b_max': 1.0, 'rho': 1.0, 'max_attempts': 100},
+     'no acceptance within 100 consecutive draws (dominating reason: rejected_distance)',
+     (102, 49, 38, 14, 0, 0, 0)),
+    # the d-th acceptance falls mid-batch and mid-round
+    ({'n': 20, 'd': 100, 'seed': 0, 'workers': 8},
+     '0012dd4df789c73b3dae21b4031b9ea006f2677f1ede3d623afa863735ef56cc',
+     (4289, 3031, 1158, 0, 0, 4, 13)),
+    ({'n': 5, 'd': 20, 'seed': 1, 'workers': 8},
+     '74880a7cd756f761baa10c1f224270a8585be6b7928141717e08ae9d7617af9a',
+     (1547, 1120, 384, 23, 23, 5, 6)),
 ]
 
 

@@ -474,3 +474,92 @@ def test_index_shortlist_matches_dense_predicate_at_the_thresholds(n):
                 ]
                 for l_max, s_min in thresholds:
                     assert_index_matches_dense(n, rows, [(a, b)], l_max, s_min)
+
+
+# --- stacked queries versus one-at-a-time replay ------------------------------
+
+
+def replay_verdicts(stored, stack, l_max, s_min):
+    """Query each row of the stack in order against the dense predicate, and
+    store it when it is not alike: the verdicts a stacked query must give."""
+    rows = list(stored)
+    out = []
+    for a, b in stack:
+        hit = bool(rows) and dense_any_alike(rows, a, b, l_max, s_min)
+        out.append(hit)
+        if not hit:
+            rows.append((a, b))
+    return out
+
+
+def stacked_verdicts(n, stored, stack, l_max, s_min):
+    idx = SimilarityIndex.from_inequalities([Inequality(a, b) for a, b in stored], n, l_max, s_min)
+    got = idx.any_alike(np.stack([a for a, _ in stack]), np.array([b for _, b in stack]))
+    assert got.dtype == bool and got.shape == (len(stack),)
+    return got.tolist()
+
+
+@pytest.mark.parametrize("n", INDEX_NS)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stored=st.integers(0, 12),
+    k=st.integers(1, 40),
+    spread=st.sampled_from([0.0, 1e-3, 0.05, 0.2, 1.0]),
+    scale=st.sampled_from([1e-160, 1.0, 1e200]),
+    l_max=st.floats(0.01, 0.7),
+    s_min=st.floats(1.0, 150.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_verdicts_equal_one_at_a_time_replay(n, seed, stored, k, spread, scale, l_max, s_min):
+    # planted near-duplicates: every row lies near one of three bases, so
+    # rows of the stack are alike to stored rows, to each other, or both;
+    # one row of the stack (at most) is scaled so its norm under- or overflows
+    gen = np.random.default_rng(seed)
+    bases = [(gen.standard_normal(n), float(gen.uniform(-100.0, 100.0))) for _ in range(3)]
+
+    def planted():
+        v, beta = bases[int(gen.integers(3))]
+        return near_row(gen, v / float(row_norms(v)), beta, spread, gen.uniform(-s_min, s_min), 1.0)
+
+    rows = [planted() for _ in range(stored)]
+    stack = [planted() for _ in range(k)]
+    odd = int(gen.integers(k))
+    stack[odd] = (scale * stack[odd][0], scale * stack[odd][1])
+    with np.errstate(over="ignore"):  # the squares of 1e200 overflow
+        assume(float(row_norms(stack[odd][0])) > 0.0)
+        want = replay_verdicts(rows, stack, l_max, s_min)
+        assert stacked_verdicts(n, rows, stack, l_max, s_min) == want
+
+
+def test_stacked_chain_accepts_a_row_alike_only_to_a_rejected_one():
+    # gap(row 0, row 1) = gap(row 1, row 2) = 0.3 < l_max, gap(row 0, row 2)
+    # about 0.59: row 1 is rejected as alike to row 0, so row 2, alike only
+    # to row 1, is accepted
+    step = 2.0 * math.asin(0.15)
+    stack = [(np.array([math.cos(t * step), math.sin(t * step)]), 10.0) for t in range(3)]
+    assert replay_verdicts([], stack, 0.35, 100.0) == [False, True, False]
+    assert stacked_verdicts(2, [], stack, 0.35, 100.0) == [False, True, False]
+    # the same chain behind a stored row alike to row 0 only: row 0 is
+    # rejected, so row 1 is accepted and row 2, alike to it, is rejected
+    stored = [(np.array([math.cos(-step), math.sin(-step)]), 10.0)]
+    assert replay_verdicts(stored, stack, 0.35, 100.0) == [True, False, True]
+    assert stacked_verdicts(2, stored, stack, 0.35, 100.0) == [True, False, True]
+
+
+def test_stacked_query_of_one_row_on_an_empty_index():
+    idx = SimilarityIndex(3, 0.35, 100.0)
+    got = idx.any_alike(np.array([[1.0, 2.0, 3.0]]), np.array([4.0]))
+    assert got.tolist() == [False]
+    single = idx.any_alike(np.array([1.0, 2.0, 3.0]), 4.0)
+    assert type(single) is bool and single is False
+    idx.append(np.array([[1.0, 2.0, 3.0]]), np.array([4.0]))
+    assert idx.any_alike(np.array([2.0, 4.0, 6.0]), 8.0) is True
+
+
+def test_stacked_query_with_a_zero_row_raises():
+    idx = SimilarityIndex.from_inequalities([Inequality([1.0, 0.0], 1.0)], 2, 0.35, 100.0)
+    with pytest.raises(ValueError):
+        idx.any_alike(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        idx.append(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
+    assert len(idx) == 1

@@ -4,7 +4,7 @@ a traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
-from randlp import GeneratorParams, generate_sequential, validate_instance
+from randlp import GeneratorParams, generate_parallel, generate_sequential, validate_instance
 from randlp import generator, geometry, rng, validator
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -50,3 +50,21 @@ def test_tracer_wraps_every_hook_and_restores_it():
         after = vars(owner)
         assert after.keys() == before[owner].keys()
         assert all(after[k] is v for k, v in before[owner].items())
+
+
+def test_traced_parallel_run_shows_the_coordinators_layer():
+    # perfbench/tests asserts the same on tall-par, outside this suite's testpaths
+    spans = load_spans()
+    params = GeneratorParams(n=10, d=100, seed=1, workers=2)
+    plain, _ = generate_parallel(params)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced, _ = tracer.call("generator", generate_parallel, params)
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["geometry.any_alike.calls"] > 0
+    assert metrics["geometry.rows_compared.accepted"] > 0
+    assert metrics["generator.busy_s"] > 0

@@ -20,6 +20,7 @@ from randlp import (
     project_center,
     support_only_solution,
     validate_instance,
+    validate_params,
     verify_support_solution,
 )
 from randlp import validator
@@ -120,6 +121,25 @@ def test_wrong_support_count_is_structural(demo_instance):
     assert not report.ok
     assert any(v.constraint == -1 for v in report.violations)
     assert "support row count" in conditions(report)
+
+
+@pytest.mark.parametrize("alpha, theta, want", [
+    (200.0, 150.0, [("theta <= alpha/2", 150.0, 100.0)]),
+    (0.0, 100.0, [("alpha > 0", 0.0, 0.0), ("theta <= alpha/2", 100.0, 0.0)]),
+    (200.0, 0.0, [("theta > 0", 0.0, 0.0)]),
+    (-4.0, -1.0, [("alpha > 0", -4.0, 0.0), ("theta > 0", -1.0, 0.0),
+                  ("theta <= alpha/2", -1.0, -2.0)]),
+])
+def test_stored_parameters_that_gen_refuses_are_structural(demo_instance, alpha, theta, want):
+    # alpha and theta are what a file stores of the parameters; the rows
+    # were built for other values, but the parameters are reported alone
+    params = replace(demo_instance.params, alpha=alpha, theta=theta)
+    report = validate_instance(replace(demo_instance, params=params))
+    assert not report.ok
+    assert [(v.constraint, v.condition, v.measured, v.bound) for v in report.violations] == [
+        (-1, *w) for w in want
+    ]
+    assert all(name in validate_params(params) for name, _, _ in want)
 
 
 def test_nonimproving_row_flagged(demo_instance):
