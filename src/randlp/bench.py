@@ -5,7 +5,7 @@ import statistics
 from dataclasses import dataclass, replace
 
 from .generator import generate_parallel
-from .model import GeneratorParams
+from .model import GeneratorParams, ParameterError, validate_params
 
 
 @dataclass(frozen=True)
@@ -25,16 +25,22 @@ def run_benchmark(
     The baseline is the median of the 1-worker runs when 1 is among the
     counts, otherwise the first count's median.  The generated instances are
     the deterministic outputs for (seed, workers), so callers can revalidate
-    any benchmark output by regenerating with the same parameters.
+    any benchmark output by regenerating with the same parameters.  Every
+    count is checked before the first run: the first parameter set that
+    ``validate_params`` refuses raises ``ParameterError``.
     """
     counts = [int(x) for x in worker_counts]
     if not counts:
         raise ValueError("worker_counts must be non-empty")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    runs = [replace(params, workers=count) for count in counts]
+    for p in runs:
+        violations = validate_params(p)
+        if violations:
+            raise ParameterError(violations)
     medians: dict[int, float] = {}
-    for count in counts:
-        p = replace(params, workers=count)
+    for count, p in zip(counts, runs):
         samples = []
         for _ in range(repetitions):
             _, stats = generate_parallel(p)

@@ -310,17 +310,17 @@ def _generate(
     c = build_objective(n, params.theta)
     h = hypercube_center(n, params.alpha)
     screen = BoundingScreen(n, params.alpha, params.l_max, params.s_min)
-    index = SimilarityIndex(n, params.l_max, params.s_min, capacity=d + 1)
+    index = SimilarityIndex(n, params.l_max, params.s_min)
     producers = [
         _Producer(derive_stream(params.seed, s), params, h, c, screen) for s in stream_ids
     ]
     workers = len(producers)
     sequential = list(stream_ids) == [0]
-    # The accepted rows.  They become Inequality objects, one array each,
-    # only once all are in, so those arrays are not scattered among the
-    # batches' temporaries on the heap.
-    rows_a = np.empty((d, n))
-    rows_b = np.empty(d)
+    # The accepted rows, one stack per batch, so nothing is sized by d
+    # before a row is accepted.  They become Inequality objects, one array
+    # each, only once all are in, so those arrays are not scattered among
+    # the batches' temporaries on the heap.
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
     filled = 0
     coord_rej = discarded = 0
     steps = 0  # producers stepped, the one that stalls included
@@ -397,15 +397,14 @@ def _generate(
         if cut:
             order[t % workers].cut(budget - attempts)
         if fresh:
-            stop = filled + len(fresh)
-            rows_a[filled:stop], rows_b[filled:stop] = a[fresh], b[fresh]
-            index.append(rows_a[filled:stop], rows_b[filled:stop])
-            filled = stop
+            kept.append((a[fresh], b[fresh]))
+            index.append(*kept[-1])
+            filled += len(fresh)
         if stall:
             raise stalled()
 
     discarded = -steps % workers
-    random = tuple(map(Inequality, rows_a, rows_b))
+    random = tuple(Inequality(row, v) for rows, vs in kept for row, v in zip(rows, vs))
     instance = LPInstance(n=n, support=tuple(support), random=random, c=c, params=params)
     return instance, stats()
 

@@ -89,39 +89,71 @@ def direction_cut(mean_sumsq, l_max: float):
     return mean_sumsq - (l_max * l_max + _GAP_SQ_MARGIN) / 2.0
 
 
+def unit_rows(a: np.ndarray, b: np.ndarray, verb: str):
+    """Unit rows, half their squared norms and normalized offsets of the
+    stack ``a`` with right-hand sides ``b``; a zero row raises ``ValueError``
+    ("cannot be <verb>")."""
+    nrm = row_norms(a)
+    if np.any(nrm == 0.0):
+        raise ValueError(f"zero-norm coefficient vector cannot be {verb}")
+    units = a / nrm[:, None]
+    return units, row_sumsq(units) / 2.0, b / nrm
+
+
+def near_pairs(rows, queries, l_max: float, s_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """The shortlist of likely-alike (query, row) pairs, in order of query
+    then row.
+
+    ``rows`` and ``queries`` are (unit rows, halves, offsets), as
+    ``unit_rows`` returns them.  One product ``queries @ rows.T - halves``
+    keeps the pairs above the query's ``direction_cut``, and the offset
+    test ``|offset - q_offset| < s_min`` runs on those only.  Every pair
+    with a direction gap below ``l_max`` and an offset gap below ``s_min``
+    is kept; callers recheck the gap of each pair exactly.
+    """
+    units, halves, offsets = rows
+    q_units, q_halves, q_offsets = queries
+    dots = q_units @ units.T
+    dots -= halves
+    near = np.flatnonzero(dots > direction_cut(q_halves, l_max)[:, None])
+    # flatnonzero and divmod: np.nonzero of a 2-D mask is many times slower
+    qi, ri = np.divmod(near, dots.shape[1])
+    keep = np.abs(offsets[ri] - q_offsets[qi]) < s_min
+    return qi[keep], ri[keep]
+
+
 class SimilarityIndex:
     """Normalized constraint rows supporting batched likeness queries.
 
     Stores one unit normal, half its squared norm and one normalized offset
-    per constraint.  A query with unit normal u shortlists the rows v with
-    ``<v, u> - |v|^2/2 > direction_cut(|u|^2/2, l_max)`` and with the offset
-    test, then rechecks only those rows with ``row_norms(v - u) < l_max``,
-    the kernel and unit rows a dense comparison of every row would use, so
-    its verdict is the dense one bit for bit and pairwise ``likeness`` calls
+    per constraint, as ``unit_rows`` gives them, in arrays that grow as rows
+    are appended.  A query shortlists the stored rows with ``near_pairs``,
+    then rechecks only those rows with ``row_norms(v - u) < l_max``, the
+    kernel and unit rows a dense comparison of every row would use, so its
+    verdict is the dense one bit for bit and pairwise ``likeness`` calls
     decide the same way.
 
     ``any_alike`` and ``append`` take one row or a stack of K rows.  A stack
     is judged as if its rows were queried one at a time in order, each
-    appended when it is not alike: one K x count product against the stored
-    rows and one K x K product for the pairs within the stack whose row
-    comes first, both through the same shortlist and recheck, then a walk
-    of the alike pairs in stack order.
+    appended when it is not alike: one ``near_pairs`` call against the
+    stored rows and one for the pairs within the stack whose row comes
+    first, both with the same recheck, then a walk of the alike pairs in
+    stack order.
     """
 
-    def __init__(self, n: int, l_max: float, s_min: float, capacity: int = 8):
+    def __init__(self, n: int, l_max: float, s_min: float):
         self._n = n
         self._l_max = l_max
         self._s_min = s_min
-        cap = max(1, capacity)
-        self._units = np.empty((cap, n), dtype=np.float64)
-        self._halves = np.empty(cap, dtype=np.float64)
-        self._offsets = np.empty(cap, dtype=np.float64)
+        self._units = np.empty((0, n), dtype=np.float64)
+        self._halves = np.empty(0, dtype=np.float64)
+        self._offsets = np.empty(0, dtype=np.float64)
         self._count = 0
 
     @classmethod
     def from_inequalities(cls, ineqs, n: int, l_max: float, s_min: float) -> "SimilarityIndex":
         ineqs = list(ineqs)
-        idx = cls(n, l_max, s_min, capacity=len(ineqs) + 1)
+        idx = cls(n, l_max, s_min)
         if ineqs:
             idx.append(np.stack([q.a for q in ineqs]), np.array([q.b for q in ineqs]))
         return idx
@@ -129,42 +161,12 @@ class SimilarityIndex:
     def __len__(self) -> int:
         return self._count
 
-    @staticmethod
-    def _normalized(a, b, verb: str):
-        # unit rows, half their squared norms and normalized offsets of a stack
-        nrm = row_norms(a)
-        if np.any(nrm == 0.0):
-            raise ValueError(f"zero-norm coefficient vector cannot be {verb}")
-        units = a / nrm[:, None]
-        return units, row_sumsq(units) / 2.0, b / nrm
-
-    def _alike_pairs(self, rows, queries, earlier: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """The (query, row) pairs that are alike, in order of query then row.
-
-        ``rows`` and ``queries`` are (unit rows, halves, offsets).  One
-        product shortlists the pairs past the direction cut; the offset test
-        and the exact gap then run on the shortlist only.  With ``earlier``,
-        only pairs whose row comes before the query count."""
-        units, halves, offsets = rows
-        q_units, q_halves, q_offsets = queries
-        dots = q_units @ units.T
-        dots -= halves
-        near = np.flatnonzero(dots > direction_cut(q_halves, self._l_max)[:, None])
-        # flatnonzero and divmod: np.nonzero of a 2-D mask is many times slower
-        qi, ri = np.divmod(near, dots.shape[1])
-        keep = np.abs(offsets[ri] - q_offsets[qi]) < self._s_min
-        if earlier:
-            keep &= ri < qi
-        qi, ri = qi[keep], ri[keep]
-        hit = row_norms(units[ri] - q_units[qi]) < self._l_max
-        return qi[hit], ri[hit]
-
     def append(self, a: np.ndarray, b) -> None:
         """Store one row, or each row of a stack with its entry of ``b``."""
         a = np.asarray(a, dtype=np.float64)
         if a.ndim == 1:
             a, b = a[None, :], [b]
-        units, halves, offsets = self._normalized(a, np.asarray(b, dtype=np.float64), "indexed")
+        units, halves, offsets = unit_rows(a, np.asarray(b, dtype=np.float64), "indexed")
         start = self._count
         stop = start + len(units)
         cap = self._units.shape[0]
@@ -189,14 +191,21 @@ class SimilarityIndex:
         a = np.asarray(a, dtype=np.float64)
         if a.ndim == 1:
             return bool(self.any_alike(a[None, :], np.array([b], dtype=np.float64))[0])
-        stack = self._normalized(a, np.asarray(b, dtype=np.float64), "compared")
+        l_max, s_min = self._l_max, self._s_min
+        stack = unit_rows(a, np.asarray(b, dtype=np.float64), "compared")
+        units = stack[0]
         k = self._count
-        stored = (self._units[:k], self._halves[:k], self._offsets[:k])
+        stored = self._units[:k]
+        qi, ri = near_pairs((stored, self._halves[:k], self._offsets[:k]), stack, l_max, s_min)
         alike = np.zeros(len(a), dtype=bool)
-        alike[self._alike_pairs(stored, stack)[0]] = True
+        alike[qi[row_norms(stored[ri] - units[qi]) < l_max]] = True
+        qi, ri = near_pairs(stack, stack, l_max, s_min)
+        earlier = ri < qi
+        qi, ri = qi[earlier], ri[earlier]
+        hit = row_norms(units[ri] - units[qi]) < l_max
         # pairs (i, j) with j < i come in order of i, so row j is final
         # before row i is looked at
-        for i, j in zip(*(x.tolist() for x in self._alike_pairs(stack, stack, earlier=True))):
+        for i, j in zip(qi[hit].tolist(), ri[hit].tolist()):
             if not alike[j]:
                 alike[i] = True
         return alike
@@ -219,8 +228,7 @@ class BoundingScreen:
     same unit row a dense ``SimilarityIndex`` of the bounding rows holds, so
     the verdict equals that index's ``any_alike`` bit for bit, in O(n) per
     row.  ``alike_rows`` screens a whole stack of rows with one pass of each
-    test, so a producer screens all survivors of a block in one call;
-    ``any_alike`` is its one-row case.
+    test, so a producer screens all survivors of a block in one call.
     """
 
     def __init__(self, n: int, alpha: float, l_max: float, s_min: float):
@@ -236,7 +244,7 @@ class BoundingScreen:
         """Per row of ``units``: a row coef * e_j within l_max of it, among
         the rows where ``near`` holds, shortlisted by coef * u_j > cut."""
         rows = np.flatnonzero(near)
-        ii, jj = np.nonzero(coef * units[rows] > cut[rows, None])
+        ii, jj = np.divmod(np.flatnonzero(coef * units[rows] > cut[rows, None]), units.shape[1])
         ii = rows[ii]
         # unit - u for each shortlisted pair: 0 - u_k off the axis
         diff = 0.0 - units[ii]
@@ -248,19 +256,11 @@ class BoundingScreen:
     def alike_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """For each row of the stack ``a`` with right-hand side ``b``, whether
         it is alike to some bounding row."""
-        nrm = row_norms(a)
-        if np.any(nrm == 0.0):
-            raise ValueError("zero-norm coefficient vector cannot be compared")
-        units = a / nrm[:, None]
-        beta = b / nrm
+        units, halves, beta = unit_rows(a, b, "compared")
         s_min = self._s_min
-        cut = direction_cut(row_sumsq(units) / 2.0 + 0.5, self._l_max)
+        cut = direction_cut(halves + 0.5, self._l_max)
         hit = self._axis_alike(units, np.abs(self._alpha - beta) < s_min, 1.0, cut)
         hit |= self._axis_alike(units, np.abs(beta) < s_min, -1.0, cut)
         diag = np.flatnonzero(np.abs(self._diag_offset - beta) < s_min)
         hit[diag] |= row_norms(self._diag_unit - units[diag]) < self._l_max
         return hit
-
-    def any_alike(self, a: np.ndarray, b: float) -> bool:
-        """``alike_rows`` for one row."""
-        return bool(self.alike_rows(np.asarray(a)[None, :], np.array([b], dtype=np.float64))[0])

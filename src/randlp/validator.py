@@ -25,9 +25,9 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import (
-    direction_cut,
     hypercube_center,
     likeness,
+    near_pairs,
     objective_value,
     row_dots,
     row_norms,
@@ -177,29 +177,24 @@ def _pairwise_likeness_violations(rows, units, beta, usable, l_max, s_min):
 
     ``units`` and ``beta`` hold the unit normal and the normalized offset of
     every row of ``rows`` at its own index, zero where ``usable`` is False.
-    They are walked in blocks of ``_PAIR_BLOCK``: each block's slab
-    ``units[lo:hi] @ units[lo+1:].T`` shortlists the pairs above their
-    ``direction_cut`` (a safety margin on the direction-gap bound), a pair
-    with an unusable row is dropped, the offset test runs on the rest, and
-    each survivor is rechecked with the exact scalar predicate, so the
-    verdict never depends on BLAS summation order.  The reported gap is read
-    off the unit rows.  Peak memory is O(_PAIR_BLOCK * m), not O(m^2).
+    They are walked in blocks of ``_PAIR_BLOCK``: each block's rows are the
+    queries of one ``near_pairs`` call against the rows after the block's
+    first, whose shortlist holds every pair within the direction and offset
+    bounds; a pair not above the diagonal or with an unusable row is
+    dropped, and each survivor is rechecked with the exact scalar predicate,
+    so the verdict never depends on BLAS summation order.  The reported gap
+    is read off the unit rows.  Peak memory is O(_PAIR_BLOCK * m), not O(m^2).
     """
     m = len(units)
-    # <v_i, v_j> > (|v_i|^2 + |v_j|^2)/2 - l_max^2/2, per pair: a row whose
-    # norm under- or overflowed lowers only its own cut
-    half_sq = row_sumsq(units) / 2.0
-    cut = direction_cut(half_sq, l_max)
+    triple = (units, row_sumsq(units) / 2.0, beta)  # as unit_rows gives them
     out = []
     for lo in range(0, m - 1, _PAIR_BLOCK):
         hi = min(lo + _PAIR_BLOCK, m - 1)
-        slab = units[lo:hi] @ units[lo + 1 :].T
-        slab -= half_sq[lo + 1 :]
-        ii, jj = np.nonzero(slab > cut[lo:hi, None])
-        del slab  # free it before the next block's slab is allocated
+        rest = [x[lo + 1 :] for x in triple]
+        ii, jj = near_pairs(rest, [x[lo:hi] for x in triple], l_max, s_min)
         ii += lo
         jj += lo + 1
-        keep = (jj > ii) & usable[ii] & usable[jj] & (np.abs(beta[ii] - beta[jj]) < s_min)
+        keep = (jj > ii) & usable[ii] & usable[jj]
         for i, j in zip(ii[keep].tolist(), jj[keep].tolist()):
             if likeness(rows[i], rows[j], l_max, s_min):
                 gap = float(row_norms(units[i] - units[j]))

@@ -105,6 +105,14 @@ def test_stall_exit_1(capsys):
     assert "no acceptance within" in capsys.readouterr().err
 
 
+def test_gen_with_a_huge_d_stalls_with_exit_1(capsys):
+    rc = run_cli(["gen", "--n", "1", "--d", "1000000000000"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: no acceptance within" in captured.err
+
+
 def test_validate_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not an instance\n")
@@ -173,6 +181,22 @@ def test_bench_rejects_bad_worker_list(capsys):
 def test_bench_refuses_bad_arguments(capsys, flags, violation):
     assert run_cli(["bench", "--n", "2", "--d", "0", *flags]) == 2
     assert f"parameter violation: {violation}" in capsys.readouterr().err
+
+
+def test_bench_refuses_a_bad_worker_count_before_any_run(monkeypatch, capsys):
+    calls = []
+
+    def counted(params):
+        calls.append(params.workers)
+        return generate_parallel(params)
+
+    monkeypatch.setattr("randlp.bench.generate_parallel", counted)
+    rc = run_cli(["bench", "--n", "2", "--d", "2", "--workers-list", "1,2,0", "--reps", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parameter violation: workers >= 1\n"
+    assert calls == []
 
 
 def test_gen_refuses_an_overflowing_diagonal(capsys):

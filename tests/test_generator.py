@@ -288,6 +288,21 @@ def test_sequential_stall_reports_budget_and_reason():
     assert stats.wall_time_ms > 0.0
 
 
+@pytest.mark.parametrize("engine, workers", [(generate_sequential, 1), (generate_parallel, 3)])
+def test_a_huge_d_stalls_without_allocating_for_it(engine, workers):
+    # nothing is sized by d before the first draw: the rows accepted so far
+    # are all that is stored, so a d of 10**12 ends in a stall at n = 2
+    params = GeneratorParams(n=2, d=10**12, max_attempts=2000, workers=workers)
+    with pytest.raises(GenerationStalledError) as exc:
+        engine(params)
+    assert str(exc.value).startswith("no acceptance within 2000 consecutive draws")
+    stats = exc.value.stats
+    accepted = stats.candidates_drawn - (
+        stats.rejected_distance + stats.rejected_objective + stats.rejected_similarity
+    )
+    assert 0 < accepted < 100
+
+
 def test_sequential_stall_counters_stay_conserved():
     params = make_params(max_attempts=25)
     with pytest.raises(GenerationStalledError) as exc:

@@ -16,7 +16,7 @@ from randlp import (
     objective_value,
     project_center,
 )
-from randlp.geometry import BoundingScreen, row_dots, row_norms
+from randlp.geometry import BoundingScreen, near_pairs, row_dots, row_norms, row_sumsq
 
 H = hypercube_center(2, 200.0)
 
@@ -168,7 +168,7 @@ def test_index_agrees_with_pairwise_likeness(rows, probe):
 
 
 def test_index_append_then_query():
-    idx = SimilarityIndex(2, 0.35, 100.0, capacity=1)
+    idx = SimilarityIndex(2, 0.35, 100.0)
     for j in range(5):
         idx.append(np.array([1.0, float(j)]), 10.0 * j)  # exercises growth
     assert len(idx) == 5
@@ -200,7 +200,8 @@ def assert_screen_matches_dense(n, l_max, s_min, rows):
     screen = BoundingScreen(n, ALPHA, l_max, s_min)
     dense = dense_bounding(n, l_max, s_min)
     for a, b in rows:
-        assert screen.any_alike(a, b) == dense.any_alike(a, b), (a, b, l_max, s_min)
+        got = screen.alike_rows(np.asarray(a)[None, :], np.array([b]))[0]
+        assert got == dense.any_alike(a, b), (a, b, l_max, s_min)
 
 
 def bounding_units(n):
@@ -299,7 +300,8 @@ def test_screen_matches_dense_index_at_the_thresholds(n):
                 assert_screen_matches_dense(n, l_max, s_min, [(a, b)])
         # the row itself sits at gap 0 and offset difference 0
         unit, offset = units[k]
-        assert BoundingScreen(n, ALPHA, 0.35, 100.0).any_alike(3.0 * unit, 3.0 * offset)
+        screen = BoundingScreen(n, ALPHA, 0.35, 100.0)
+        assert screen.alike_rows(3.0 * unit[None, :], np.array([3.0 * offset]))[0]
 
 
 def assert_stack_matches_dense(n, l_max, s_min, rows):
@@ -375,7 +377,7 @@ def test_screen_matches_dense_index_on_underflowing_rows(n, seed, spread):
 
 def test_screen_rejects_a_zero_row_like_the_index():
     with pytest.raises(ValueError):
-        BoundingScreen(3, ALPHA, 0.35, 100.0).any_alike(np.zeros(3), 1.0)
+        BoundingScreen(3, ALPHA, 0.35, 100.0).alike_rows(np.zeros((1, 3)), np.array([1.0]))
 
 
 # --- shortlisted accepted-row index versus the dense predicate ---------------
@@ -400,7 +402,7 @@ def assert_index_matches_dense(n, rows, probes, l_max, s_min):
     built = SimilarityIndex.from_inequalities(
         [Inequality(r, beta) for r, beta in rows], n, l_max, s_min
     )
-    grown = SimilarityIndex(n, l_max, s_min, capacity=1)
+    grown = SimilarityIndex(n, l_max, s_min)
     for r, beta in rows:
         grown.append(r, beta)
     for a, b in probes:
@@ -563,3 +565,70 @@ def test_stacked_query_with_a_zero_row_raises():
     with pytest.raises(ValueError):
         idx.append(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
     assert len(idx) == 1
+
+
+# --- the shared pair shortlist versus a brute-force pair list -----------------
+
+
+def unit_triple(A, B):
+    """(unit rows, halves, offsets) as the validator holds them: a zeroed
+    row stays a zero unit row with offset 0, and a row whose norm overflows
+    becomes one too."""
+    with np.errstate(over="ignore"):
+        norms = row_norms(A)
+    norms[norms == 0.0] = 1.0
+    units = A / norms[:, None]
+    return units, row_sumsq(units) / 2.0, B / norms
+
+
+@pytest.mark.parametrize("n", INDEX_NS)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 30),
+    kq=st.integers(1, 30),
+    spread=st.sampled_from([0.0, 1e-3, 0.05, 0.2, 1.0]),
+    l_max=st.floats(0.01, 0.7),
+    s_min=st.floats(1.0, 150.0),
+    same=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_near_pairs_keeps_every_alike_pair_in_query_then_row_order(
+    n, seed, k, kq, spread, l_max, s_min, same
+):
+    # planted near-duplicates around three bases, one zeroed row and one row
+    # scaled so its norm overflows per stack; with `same` the queries are
+    # the rows themselves, as in the validator and within an index's stack
+    gen = np.random.default_rng(seed)
+    bases = [(gen.standard_normal(n), float(gen.uniform(-100.0, 100.0))) for _ in range(3)]
+
+    def stack(count):
+        rows = []
+        for _ in range(count):
+            v, beta = bases[int(gen.integers(3))]
+            shift = gen.uniform(-s_min, s_min)
+            rows.append(near_row(gen, v / float(row_norms(v)), beta, spread, shift, 1.0))
+        A = np.stack([a for a, _ in rows])
+        B = np.array([b for _, b in rows])
+        zero, big = gen.integers(count, size=2)
+        A[big] *= 1e200
+        B[big] *= 1e200
+        A[zero] = 0.0
+        B[zero] = 0.0
+        return unit_triple(A, B)
+
+    rows = stack(k)
+    queries = rows if same else stack(kq)
+    units, _, offsets = rows
+    q_units, _, q_offsets = queries
+    want = [
+        (i, j)
+        for i in range(len(q_units))
+        for j in range(len(units))
+        if float(row_norms(units[j] - q_units[i])) < l_max
+        and abs(offsets[j] - q_offsets[i]) < s_min
+    ]
+    qi, ri = near_pairs(rows, queries, l_max, s_min)
+    got = list(zip(qi.tolist(), ri.tolist()))
+    assert got == sorted(set(got))  # query then row, each pair once
+    assert set(want) <= set(got)
+    assert all(abs(offsets[j] - q_offsets[i]) < s_min for i, j in got)
