@@ -102,7 +102,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     violations = bound_violations(params)
     if violations:
         raise ParameterError(violations)
-    report = validate_instance(dataclasses.replace(inst, params=params))
+    report = validate_instance(inst.with_params(params))
     if report.ok:
         print("ok")
         return 0

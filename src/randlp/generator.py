@@ -41,6 +41,7 @@ from .geometry import (
     row_sumsq,
 )
 from .model import (
+    BoundingBlock,
     GenerationStats,
     GeneratorParams,
     Inequality,
@@ -306,7 +307,9 @@ def _generate(
     _require_valid(params)
     t0 = time.perf_counter()
     n, d, budget = params.n, params.d, params.max_attempts
-    support = build_support(n, params.alpha)
+    # The instance keeps its bounding rows in closed form; the rows built
+    # here only give perfbench's tracer its support span (perfbench/spans.py).
+    build_support(n, params.alpha)
     c = build_objective(n, params.theta)
     h = hypercube_center(n, params.alpha)
     screen = BoundingScreen(n, params.alpha, params.l_max, params.s_min)
@@ -317,9 +320,7 @@ def _generate(
     workers = len(producers)
     sequential = list(stream_ids) == [0]
     # The accepted rows, one stack per batch, so nothing is sized by d
-    # before a row is accepted.  They become Inequality objects, one array
-    # each, only once all are in, so those arrays are not scattered among
-    # the batches' temporaries on the heap.
+    # before a row is accepted; the instance gets them as one array.
     kept: list[tuple[np.ndarray, np.ndarray]] = []
     filled = 0
     coord_rej = discarded = 0
@@ -404,8 +405,10 @@ def _generate(
             raise stalled()
 
     discarded = -steps % workers
-    random = tuple(Inequality(row, v) for rows, vs in kept for row, v in zip(rows, vs))
-    instance = LPInstance(n=n, support=tuple(support), random=random, c=c, params=params)
+    a = np.concatenate([rows for rows, _ in kept]) if kept else np.empty((0, n))
+    b = np.concatenate([vs for _, vs in kept]) if kept else np.empty(0)
+    bounding = BoundingBlock.canonical(n, params.alpha)
+    instance = LPInstance.from_arrays(n, bounding, a, b, c, params)
     return instance, stats()
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Inequality
-from .support import diagonal_rhs
+from .model import Inequality, diagonal_rhs
 
 
 def row_dots(rows: np.ndarray, y: np.ndarray) -> np.ndarray:

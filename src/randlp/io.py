@@ -13,12 +13,21 @@ acceptance order.  The header is redundant on purpose: m must equal 2n+1+d.
 Bounding rows are mostly zeros, so both directions use a template: the text
 of each canonical row of ``build_support(n, alpha)``, built one row at a time
 from ``support_layout`` with ``_fmt(alpha)`` and ``_fmt((n-1)*alpha +
-alpha/2)``.  The writer emits the template for a row that is bitwise
-canonical, and formats any other row (say one holding -0.0 or nan) with one
-``%`` over all its numbers; either way the bytes are exactly those of
-formatting every token on its own.
-The reader takes the canonical row for a line equal to its template and
-parses every other line token by token.  Every number read must be finite.
+alpha/2)``.  The writer emits the template for each row the instance's
+``BoundingBlock`` holds in closed form, and formats each of its edited rows
+(say one holding -0.0 or nan) with one ``%`` over all its numbers; the random
+rows are formatted from their array with one ``%`` per row.  Either way the
+bytes are exactly those of formatting every token on its own.  The writer
+hands the text out in chunks, so a file is written without the whole text in
+memory.
+
+The reader keeps a bounding line equal to its template in closed form and
+parses every other one token by token.  It parses the d random lines as one
+block with ``np.loadtxt``, which converts each number as ``float`` does; when
+that raises, gives another shape or a number that is not finite, the lines
+are parsed token by token instead, which also accepts what only ``float``
+accepts (``1_0``, digits of other scripts) and raises the ``ParseError`` of
+the first bad line.  Every number read must be finite.
 """
 from __future__ import annotations
 
@@ -27,8 +36,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GenerationStats, GeneratorParams, Inequality, LPInstance
-from .support import support_layout, support_row
+from .model import (
+    BoundingBlock,
+    GenerationStats,
+    GeneratorParams,
+    Inequality,
+    LPInstance,
+    support_layout,
+)
 
 
 class ParseError(ValueError):
@@ -51,52 +66,69 @@ def _row_text(q: Inequality) -> str:
     return _text(q.a.tolist() + [q.b])
 
 
-def _bits(v: float) -> np.uint64:
-    return np.float64(v).view(np.uint64)
+def _templates(n: int, alpha: float):
+    """What ``_row_text`` gives for each row of ``support_layout(n, alpha)``,
+    in order, built without formatting every zero."""
+    zeros = "0 " * n
+    for j, coef, rhs in support_layout(n, alpha):
+        tok = _fmt(coef) + " "
+        if j is None:
+            yield tok * n + _fmt(rhs)
+        else:
+            yield zeros[: 2 * j] + tok + zeros[: 2 * (n - 1 - j)] + _fmt(rhs)
 
 
-def _layout_text(n: int, j, coef: float, rhs: float) -> str:
-    """What ``_row_text`` gives for the row (j, coef, rhs) of
-    ``support_layout``, built without formatting every zero."""
-    tok = _fmt(coef) + " "
-    if j is None:
-        return tok * n + _fmt(rhs)
-    return "0 " * j + tok + "0 " * (n - 1 - j) + _fmt(rhs)
-
-
-def _is_layout_row(q: Inequality, n: int, j, coef: float, rhs: float) -> bool:
-    """q is bitwise the row (j, coef, rhs) of ``support_layout``."""
-    if q.a.shape != (n,) or _bits(q.b) != _bits(rhs):
-        return False
-    bits = q.a.view(np.uint64)
-    if j is None:
-        return bool(np.all(bits == _bits(coef)))
-    return bool(bits[j] == _bits(coef)) and np.count_nonzero(bits) == 1
+def _lines(inst: LPInstance):
+    """The lines of the text of inst, each with its newline."""
+    n = inst.n
+    block = inst.bounding
+    yield f"{n} {inst.m} {inst.d} {inst.params.seed}\n"
+    for i, template in zip(range(block.count), _templates(n, block.alpha)):
+        q = block.edits.get(i)
+        yield (template if q is None else _row_text(q)) + "\n"
+    # a support tuple longer than 2n+1 keeps its extra rows
+    for i in range(2 * n + 1, block.count):
+        yield _row_text(block.edits[i]) + "\n"
+    row_format = " ".join(["%.17g"] * (n + 1)) + "\n"
+    for a, b in zip(inst.random_a, inst.random_b.tolist()):
+        yield row_format % (*a.tolist(), b)
+    yield _text(inst.c.tolist()) + "\n"
 
 
 def instance_to_text(inst: LPInstance) -> str:
-    n = inst.n
-    lines = [f"{n} {inst.m} {inst.d} {inst.params.seed}"]
-    layout = support_layout(n, float(inst.params.alpha))
-    for q, spec in zip(inst.support, layout):
-        lines.append(_layout_text(n, *spec) if _is_layout_row(q, n, *spec) else _row_text(q))
-    # a support tuple longer than 2n+1 keeps its extra rows
-    for q in inst.support[2 * n + 1 :] + inst.random:
-        lines.append(_row_text(q))
-    lines.append(_text(inst.c.tolist()))
-    return "\n".join(lines) + "\n"
+    return "".join(_lines(inst))
 
 
-def _write_text(text: str, dest) -> None:
+# Text handed to a file in one write: enough lines for about 64 KiB.
+_CHUNK = 1 << 16
+
+
+def _chunks(lines):
+    buf, size = [], 0
+    for line in lines:
+        buf.append(line)
+        size += len(line)
+        if size >= _CHUNK:
+            yield "".join(buf)
+            buf, size = [], 0
+    if buf:
+        yield "".join(buf)
+
+
+def _write_text(pieces, dest) -> None:
     if hasattr(dest, "write"):
-        dest.write(text)
+        for piece in pieces:
+            dest.write(piece)
     else:
-        Path(dest).write_text(text)
+        with open(dest, "w") as f:
+            for piece in pieces:
+                f.write(piece)
 
 
 def write_instance(inst: LPInstance, dest) -> None:
-    """Serialize to a path or a writable text file object."""
-    _write_text(instance_to_text(inst), dest)
+    """Serialize to a path or a writable text file object, in chunks of
+    about 64 KiB of text."""
+    _write_text(_chunks(_lines(inst)), dest)
 
 
 def _floats(line: str, line_no: int, count: int) -> list[float]:
@@ -119,6 +151,20 @@ def _parse_row(line: str, line_no: int, n: int) -> Inequality:
     return Inequality(vals[:n], vals[n])
 
 
+def _parse_block(lines: list[str], line_no: int, n: int) -> np.ndarray:
+    """The rows of n coefficients and a right-hand side on ``lines``, the
+    first of them line ``line_no``, as one (len(lines), n+1) array."""
+    if not lines:
+        return np.empty((0, n + 1))
+    try:
+        block = np.loadtxt(lines, dtype=np.float64, ndmin=2, comments=None)
+    except ValueError:
+        block = None
+    if block is None or block.shape != (len(lines), n + 1) or not np.isfinite(block).all():
+        block = np.array([_floats(line, line_no + k, n + 1) for k, line in enumerate(lines)])
+    return block
+
+
 def read_instance(source) -> LPInstance:
     """Parse a path or readable text file object back into an instance.
 
@@ -131,6 +177,7 @@ def read_instance(source) -> LPInstance:
     except UnicodeDecodeError as err:
         raise ParseError(f"byte {err.start}: not {err.encoding} text") from None
     lines = text.splitlines()
+    del text
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -162,24 +209,22 @@ def read_instance(source) -> LPInstance:
     # The first bounding row carries alpha, which sets the text expected of
     # every bounding row.  A line that differs from that text, even by
     # spelling a number another way, is parsed token by token.
-    alpha = _parse_row(lines[1], 2, n).b
-    rows = []
-    for i, (j, coef, rhs) in enumerate(support_layout(n, alpha)):
-        line = lines[1 + i]
+    alpha = _floats(lines[1], 2, n + 1)[n]
+    edits = {}
+    for i, ((_, _, rhs), template) in enumerate(
+        zip(support_layout(n, alpha), _templates(n, alpha))
+    ):
         # alpha is finite, but the diagonal's rhs can overflow to inf
-        if math.isfinite(rhs) and line == _layout_text(n, j, coef, rhs):
-            rows.append(support_row(n, j, coef, rhs))
-        else:
-            rows.append(_parse_row(line, 2 + i, n))
-    rows.extend(_parse_row(lines[1 + i], 2 + i, n) for i in range(2 * n + 1, m))
+        if not (math.isfinite(rhs) and lines[1 + i] == template):
+            edits[i] = _parse_row(lines[1 + i], 2 + i, n)
+    first = 2 * n + 1
+    block = _parse_block(lines[1 + first : 1 + m], 2 + first, n)
     c = np.array(_floats(lines[1 + m], m + 2, n))
 
-    support = tuple(rows[: 2 * n + 1])
-    random = tuple(rows[2 * n + 1 :])
-    params = GeneratorParams(
-        n=n, d=d, seed=seed, alpha=float(support[0].b), theta=float(c[-1])
+    params = GeneratorParams(n=n, d=d, seed=seed, alpha=alpha, theta=float(c[-1]))
+    return LPInstance.from_arrays(
+        n, BoundingBlock(n, alpha, first, edits), block[:, :n], block[:, n], c, params
     )
-    return LPInstance(n=n, support=support, random=random, c=c, params=params)
 
 
 def stats_to_text(stats: GenerationStats) -> str:
@@ -197,4 +242,4 @@ def stats_to_text(stats: GenerationStats) -> str:
 
 
 def write_stats(stats: GenerationStats, dest) -> None:
-    _write_text(stats_to_text(stats), dest)
+    _write_text([stats_to_text(stats)], dest)

@@ -3,31 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Inequality, diagonal_rhs
-
-
-def support_layout(n: int, alpha: float):
-    """The rows of ``build_support(n, alpha)`` in closed form, in order.
-
-    Yields (j, coef, rhs): coefficient coef at position j and zeros
-    elsewhere, or coef at every position when j is None, with right-hand
-    side rhs.  Code that only needs the structure of the bounding system
-    (the writer, the reader) walks this instead of building the rows.
-    """
-    for j in range(n):
-        yield j, 1.0, alpha
-    for j in range(n):
-        yield j, -1.0, 0.0
-    yield None, 1.0, diagonal_rhs(n, alpha)
-
-
-def support_row(n: int, j, coef: float, rhs: float) -> Inequality:
-    """The row (j, coef, rhs) of ``support_layout`` as an inequality."""
-    if j is None:
-        return Inequality(np.full(n, coef), rhs)
-    a = np.zeros(n)
-    a[j] = coef
-    return Inequality(a, rhs)
+from .model import Inequality, support_layout, support_row
 
 
 def build_support(n: int, alpha: float) -> list[Inequality]:

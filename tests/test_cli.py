@@ -268,6 +268,21 @@ def test_validate_takes_the_bounds_the_file_does_not_store(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_validate_builds_no_bounding_row(tmp_path, capsys, monkeypatch):
+    from randlp import model, support
+
+    out = tmp_path / "n200.txt"
+    assert run_cli(["gen", "--n", "200", "--d", "20", "--seed", "1", "--out", str(out)]) == 0
+    built = []
+    for module in (model, support):
+        row = module.support_row
+        monkeypatch.setattr(module, "support_row",
+                            lambda *args, row=row: built.append(args) or row(*args))
+    assert run_cli(["validate", "--in", str(out)]) == 0
+    assert "ok" in capsys.readouterr().out
+    assert built == []
+
+
 def test_validate_refuses_rho_not_below_the_file_theta(tmp_path, capsys):
     out = tmp_path / "r0.txt"
     assert run_cli(["gen", "--n", "2", "--d", "0", "--seed", "1", "--out", str(out)]) == 0

@@ -275,13 +275,18 @@ def test_alpha_spelled_another_way_reads_through_the_slow_path(monkeypatch):
     parsed = []
     floats = rio._floats
     monkeypatch.setattr(rio, "_floats", lambda line, no, count: parsed.append(no) or floats(line, no, count))
+    blocks = []
+    parse_block = rio._parse_block
+    monkeypatch.setattr(rio, "_parse_block", lambda lines, no, n: blocks.append(
+        list(range(no, no + len(lines)))) or parse_block(lines, no, n))
     back = read_instance(io.StringIO("\n".join(lines) + "\n"))
     assert back == inst
     assert back.params.alpha == 200.0
     # line 2 gives alpha; lines 2 and 3 differ from the template; the other
-    # bounding rows match it; the random rows and the objective are always
-    # parsed
-    assert parsed == [2, 2, 3, 7, 8, 9, 10]
+    # bounding rows match it; the objective is always parsed, and the random
+    # rows are parsed as one block
+    assert parsed == [2, 2, 3, 10]
+    assert blocks == [[7, 8, 9]]
 
 
 # --- non-finite tokens --------------------------------------------------------
@@ -324,3 +329,66 @@ def test_undecodable_input_is_a_parse_error(tmp_path):
         read_instance(bad)
     with open(bad, encoding="utf-8") as fh, pytest.raises(ParseError, match="byte 0"):
         read_instance(fh)
+
+
+# --- streaming write and the block parse of the random rows -----------------
+
+
+class RecordingFile:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_write_instance_streams_chunks_equal_to_the_text():
+    inst, _ = generate_sequential(GeneratorParams(n=300, d=5, seed=0))
+    text = instance_to_text(inst)
+    dest = RecordingFile()
+    write_instance(inst, dest)
+    assert len(dest.writes) > 1
+    assert max(map(len, dest.writes)) < len(text)
+    assert "".join(dest.writes) == text
+
+
+finite_bits = st.integers(0, 2**64 - 1).filter(
+    lambda bits: math.isfinite(float(np.uint64(bits).view(np.float64)))
+)
+
+
+@given(st.lists(finite_bits, min_size=6, max_size=6),
+       st.sampled_from(["%.17g", "%r", "%.25e"]))
+@settings(max_examples=300, deadline=None)
+def test_block_parse_equals_float_bit_for_bit(bits, spelling):
+    values = np.array(bits, dtype=np.uint64).view(np.float64).tolist()
+    lines = [" ".join(spelling % v for v in values[k : k + 3]) for k in (0, 3)]
+    block = rio._parse_block(lines, 7, 2)
+    want = np.array([[float(t) for t in line.split()] for line in lines])
+    assert block.tobytes() == want.tobytes()
+
+
+def _random_line_read(replace_line):
+    """Read an n=2, d=2 instance whose first random line (line 7) is
+    replaced: the values of that row, or the ParseError message."""
+    lines = instance_to_text(_synthetic_instance(2, 2, 0)).splitlines()
+    lines[6] = replace_line
+    try:
+        inst = read_instance(io.StringIO("\n".join(lines) + "\n"))
+    except ParseError as e:
+        return str(e)
+    return inst.random[0].a.tolist() + [inst.random[0].b]
+
+
+@pytest.mark.parametrize("line, want", [
+    ("1_0 2 3", [10.0, 2.0, 3.0]),
+    ("\u0661 \u0662 \u0663", [1.0, 2.0, 3.0]),  # Arabic-Indic digits
+    ("1\u20032\u20033", [1.0, 2.0, 3.0]),       # em spaces between numbers
+    ("1 # 3", "line 7: not a number among: '1 # 3'"),
+    ("", "line 7: expected 3 numbers, found 0"),
+    ("1 nan 3", "line 7: not a finite number among: '1 nan 3'"),
+    ("1 2 -inf", "line 7: not a finite number among: '1 2 -inf'"),
+    ("1 2", "line 7: expected 3 numbers, found 2"),
+])
+def test_lines_the_block_parse_refuses_read_as_before(line, want):
+    assert _random_line_read(line) == want

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,61 @@ def test_bound_violations_hold_the_n1_rule():
     assert bound_violations(GeneratorParams(n=1, d=0, s_min=150.0)) == ["s_min <= alpha/2 when n = 1"]
     assert bound_violations(GeneratorParams(n=1, d=0, s_min=100.0)) == []
     assert bound_violations(GeneratorParams(n=2, d=0, s_min=150.0)) == []
+
+
+def test_array_backed_instance_equals_the_one_built_from_tuples():
+    n = 3
+    inst, _ = generate_sequential(GeneratorParams(n=n, d=4, seed=1))
+    assert inst.bounding.edits == {}
+    assert inst.random_a.shape == (4, n) and not inst.random_a.flags.writeable
+    # the tuples are built on first use and cached
+    assert "support" not in vars(inst)
+    assert inst.support == tuple(build_support(n, 200.0))
+    assert inst.support is inst.support
+    assert inst.constraints == inst.support + inst.random
+    twin = LPInstance(n=n, support=inst.support, random=inst.random, c=inst.c,
+                      params=inst.params)
+    assert twin == inst and inst == twin
+    assert (twin.m, twin.d) == (inst.m, inst.d) == (2 * n + 1 + 4, 4)
+
+
+def test_instance_equality_is_per_row_value_equality():
+    n = 2
+    base = LPInstance(n=n, support=build_support(n, 200.0), random=(Inequality([1.0, 0.0], 5.0),),
+                      c=build_objective(n, 100.0), params=GeneratorParams(n=n, d=1))
+    minus_zero = replace(base, random=(Inequality([1.0, -0.0], 5.0),))
+    assert minus_zero == base
+    support = list(base.support)
+    support[3] = Inequality([-0.0, -1.0], 0.0)
+    assert replace(base, support=tuple(support)) == base
+    nan = replace(base, random=(Inequality([1.0, np.nan], 5.0),))
+    assert nan != replace(base, random=(Inequality([1.0, np.nan], 5.0),))
+    support[3] = Inequality([0.0, -1.0], np.nan)
+    assert replace(base, support=tuple(support)) != replace(base, support=tuple(support))
+
+
+def test_non_canonical_bounding_rows_keep_their_bits():
+    n = 2
+    support = build_support(n, 200.0)
+    support[2] = Inequality([-1.0, -0.0], 0.0)
+    inst = LPInstance(n=n, support=support, random=(), c=build_objective(n, 100.0),
+                      params=GeneratorParams(n=n))
+    assert list(inst.bounding.edits) == [2]
+    rebuilt = LPInstance.from_arrays(n, inst.bounding, inst.random_a, inst.random_b, inst.c,
+                                     inst.params)
+    assert rebuilt.support[2].a.tobytes() == support[2].a.tobytes()
+
+
+def test_with_params_keeps_the_rows_and_builds_none():
+    inst, _ = generate_sequential(GeneratorParams(n=4, d=3, seed=2))
+    other = inst.with_params(replace(inst.params, l_max=0.2, alpha=64.0))
+    assert other.params.l_max == 0.2
+    assert other.bounding is inst.bounding and other.random_a is inst.random_a
+    assert "support" not in vars(other)
+    assert other == inst
+
+
+def test_random_rows_must_have_n_coefficients():
+    with pytest.raises(ValueError, match="random rows of 3 coefficients"):
+        LPInstance(n=3, support=build_support(3, 200.0), random=(Inequality([1.0, 2.0], 5.0),),
+                   c=build_objective(3, 100.0), params=GeneratorParams(n=3))

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 import warnings
@@ -9,15 +10,18 @@ import pytest
 from randlp import (
     GeneratorParams,
     Inequality,
+    LPInstance,
     UnsupportedDimensionError,
     build_objective,
     build_support,
     distance_to_center,
     generate_parallel,
     generate_sequential,
+    instance_to_text,
     likeness,
     objective_value,
     project_center,
+    read_instance,
     support_only_solution,
     validate_instance,
     validate_params,
@@ -25,6 +29,7 @@ from randlp import (
 )
 from randlp import validator
 from randlp.geometry import hypercube_center, row_dots, row_norms
+from randlp.model import BoundingBlock
 
 from conftest import make_params
 
@@ -542,3 +547,71 @@ def test_row_conditions_raise_no_new_warning(row_condition_instance, name):
     _, reference_warnings = recorded(per_row_reference, bad)
     _, got = recorded(validate_instance, bad)
     assert got <= reference_warnings
+
+
+# --- instances stored as arrays -------------------------------------------------
+
+
+def violation_list(report):
+    return [(v.constraint, v.condition, repr(v.measured), repr(v.bound))
+            for v in report.violations]
+
+
+def read_back(inst):
+    """inst through its text, with the parameters the text does not store."""
+    return read_instance(io.StringIO(instance_to_text(inst))).with_params(inst.params)
+
+
+def from_arrays(inst, k):
+    """inst split at row k into bounding rows and random rows, built from
+    arrays: the bounding rows in closed form where they are canonical."""
+    rows = inst.constraints
+    a = np.array([q.a for q in rows[k:]]).reshape(-1, inst.n)
+    b = np.array([q.b for q in rows[k:]])
+    block = BoundingBlock.from_rows(inst.n, inst.params.alpha, rows[:k])
+    return LPInstance.from_arrays(inst.n, block, a, b, inst.c, inst.params)
+
+
+@pytest.mark.parametrize("name", list(TAMPERINGS))
+def test_tampered_instances_report_the_same_from_tuples_arrays_and_text(row_condition_instance,
+                                                                        name):
+    bad = tampered(row_condition_instance, TAMPERINGS[name])
+    with np.errstate(over="ignore"):
+        want = violation_list(validate_instance(bad))
+        assert violation_list(validate_instance(from_arrays(bad, len(bad.support)))) == want
+        assert alike_violations(validate_instance(bad)) == all_pairs_reference(bad)
+        if all(np.isfinite(q.a).all() and math.isfinite(q.b) for q in bad.constraints):
+            assert violation_list(validate_instance(read_back(bad))) == want
+
+
+@pytest.mark.parametrize("k", [0, 5, 10, 12, 20, 30])
+def test_any_split_reports_the_same_from_tuples_and_arrays(row_condition_instance, k):
+    inst = row_condition_instance
+    rows = inst.constraints
+    split = replace(inst, support=rows[:k], random=rows[k:])
+    report = validate_instance(split)
+    assert violation_list(validate_instance(from_arrays(inst, k))) == violation_list(report)
+    assert report.violations[0].condition == "support row count"
+
+
+def test_n1_file_reports_the_diagonal_alike_with_the_first_row():
+    inst = read_instance(io.StringIO("1 3 0 0\n1 150\n-1 0\n1 75\n50\n"))
+    assert [str(v) for v in validate_instance(inst).violations] == [
+        "constraint 2: alike with constraint 0 (measured direction gap 0, "
+        "bound < 0.35 is too similar)"
+    ]
+
+
+@pytest.mark.parametrize("l_max, s_min", [(1.5, 300.0), (1.9, 1e4)])
+def test_rows_with_one_nonzero_of_different_columns_pair_up_under_a_wide_bound(l_max, s_min):
+    # above l_max = 1 rows +-e_j and +-e_k of different columns are close
+    # enough in direction, so the zero product between them decides
+    inst, _ = generate_sequential(GeneratorParams(n=3, d=4, seed=1))
+    rows = list(inst.constraints)
+    rows[8] = Inequality([0.0, 2.0, 0.0], 300.0)
+    wide = replace(inst, random=tuple(rows[7:]),
+                   params=replace(inst.params, l_max=l_max, s_min=s_min))
+    want = all_pairs_reference(wide)
+    assert any(i < 6 and j < 6 and i % 3 != j % 3
+               for j, cond in want for i in [int(cond.rsplit(" ", 1)[1])])
+    assert alike_violations(validate_instance(wide)) == want
