@@ -210,23 +210,37 @@ class SimilarityIndex:
         return alike
 
 
+def axis_pairs(rows, coef: float, rhs: float, l_max: float, s_min: float):
+    """The shortlist of likely-alike (row, j) pairs of the stack ``rows``
+    and the rows coef * e_j with right-hand side rhs, for coef = +-1, in
+    order of row then j.
+
+    ``rows`` is (unit rows, halves, offsets), as ``unit_rows`` returns
+    them.  Each coef * e_j has squared norm exactly 1, offset rhs and dot
+    product coef * u_j with a unit row u, so one offset test
+    ``|rhs - offset| < s_min`` covers all n of them, and a direction gap
+    below ``l_max`` needs ``coef * u_j > direction_cut(half + 1/2, l_max)``.
+    Every pair with a direction gap below ``l_max`` and an offset gap below
+    ``s_min`` is kept; callers recheck the gap of each pair exactly.
+    """
+    units, halves, offsets = rows
+    near = np.flatnonzero(np.abs(rhs - offsets) < s_min)
+    cut = direction_cut(halves[near] + 0.5, l_max)
+    ii, jj = np.divmod(np.flatnonzero(coef * units[near] > cut[:, None]), units.shape[1])
+    return near[ii], jj
+
+
 class BoundingScreen:
     """Likeness against the 2n+1 rows of ``build_support(n, alpha)``, from
     their closed form instead of a stored (2n+1) x n matrix.
 
-    For a unit normal u with normalized offset beta:
-
-    * rows x_j <= alpha have offset alpha and squared gap about 2 - 2*u_j,
-    * rows -x_j <= 0 have offset 0 and squared gap about 2 + 2*u_j,
-    * the diagonal row has unit normal ones/sqrt(n).
-
-    So one scalar offset test covers each family of n rows, and since
-    +-e_j has squared norm exactly 1, a direction gap below l_max needs
-    ``+-u_j > direction_cut(|u|^2/2 + 1/2, l_max)``, about 1 - l_max^2/2.
+    The rows x_j <= alpha are e_j with offset alpha and the rows -x_j <= 0
+    are -e_j with offset 0, so ``axis_pairs`` shortlists each family of n
+    rows in O(n) per row; the diagonal row has unit normal ones/sqrt(n).
     Every shortlisted row is rechecked with ``row_norms(unit - u)`` on the
     same unit row a dense ``SimilarityIndex`` of the bounding rows holds, so
-    the verdict equals that index's ``any_alike`` bit for bit, in O(n) per
-    row.  ``alike_rows`` screens a whole stack of rows with one pass of each
+    the verdict equals that index's ``any_alike`` bit for bit.
+    ``alike_rows`` screens a whole stack of rows with one pass of each
     test, so a producer screens all survivors of a block in one call.
     """
 
@@ -239,27 +253,19 @@ class BoundingScreen:
         self._diag_unit = ones / nrm
         self._diag_offset = float(diagonal_rhs(n, alpha)) / nrm
 
-    def _axis_alike(self, units, near, coef: float, cut) -> np.ndarray:
-        """Per row of ``units``: a row coef * e_j within l_max of it, among
-        the rows where ``near`` holds, shortlisted by coef * u_j > cut."""
-        rows = np.flatnonzero(near)
-        ii, jj = np.divmod(np.flatnonzero(coef * units[rows] > cut[rows, None]), units.shape[1])
-        ii = rows[ii]
-        # unit - u for each shortlisted pair: 0 - u_k off the axis
-        diff = 0.0 - units[ii]
-        diff[np.arange(ii.size), jj] = coef - units[ii, jj]
-        hit = np.zeros(len(units), dtype=bool)
-        hit[ii[row_norms(diff) < self._l_max]] = True
-        return hit
-
     def alike_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """For each row of the stack ``a`` with right-hand side ``b``, whether
         it is alike to some bounding row."""
-        units, halves, beta = unit_rows(a, b, "compared")
-        s_min = self._s_min
-        cut = direction_cut(halves + 0.5, self._l_max)
-        hit = self._axis_alike(units, np.abs(self._alpha - beta) < s_min, 1.0, cut)
-        hit |= self._axis_alike(units, np.abs(beta) < s_min, -1.0, cut)
+        stack = unit_rows(a, b, "compared")
+        units, _, beta = stack
+        l_max, s_min = self._l_max, self._s_min
+        hit = np.zeros(len(units), dtype=bool)
+        for coef, rhs in ((1.0, self._alpha), (-1.0, 0.0)):
+            ii, jj = axis_pairs(stack, coef, rhs, l_max, s_min)
+            # unit - u for each shortlisted pair: 0 - u_k off the axis
+            diff = 0.0 - units[ii]
+            diff[np.arange(ii.size), jj] = coef - units[ii, jj]
+            hit[ii[row_norms(diff) < l_max]] = True
         diag = np.flatnonzero(np.abs(self._diag_offset - beta) < s_min)
-        hit[diag] |= row_norms(self._diag_unit - units[diag]) < self._l_max
+        hit[diag] |= row_norms(self._diag_unit - units[diag]) < l_max
         return hit

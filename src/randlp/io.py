@@ -21,13 +21,15 @@ bytes are exactly those of formatting every token on its own.  The writer
 hands the text out in chunks, so a file is written without the whole text in
 memory.
 
-The reader keeps a bounding line equal to its template in closed form and
-parses every other one token by token.  It parses the d random lines as one
-block with ``np.loadtxt``, which converts each number as ``float`` does; when
-that raises, gives another shape or a number that is not finite, the lines
-are parsed token by token instead, which also accepts what only ``float``
-accepts (``1_0``, digits of other scripts) and raises the ``ParseError`` of
-the first bad line.  Every number read must be finite.
+The reader keeps a bounding line equal to its template in closed form, and
+parses every other one token by token, keeping it in closed form too when
+its row is bitwise the canonical one (``200.0`` for ``200``, say).  It
+parses the d random lines as one block with ``np.loadtxt``, which converts
+each number as ``float`` does; when that raises, gives another shape or a
+number that is not finite, the lines are parsed token by token instead,
+which also accepts what only ``float`` accepts (``1_0``, digits of other
+scripts) and raises the ``ParseError`` of the first bad line.  Every number
+read must be finite.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ from .model import (
     GeneratorParams,
     Inequality,
     LPInstance,
+    _is_layout_row,
     support_layout,
 )
 
@@ -208,15 +211,16 @@ def read_instance(source) -> LPInstance:
 
     # The first bounding row carries alpha, which sets the text expected of
     # every bounding row.  A line that differs from that text, even by
-    # spelling a number another way, is parsed token by token.
+    # spelling a number another way, is parsed token by token, and kept as
+    # an edit only if its row is not bitwise the canonical one.
     alpha = _floats(lines[1], 2, n + 1)[n]
     edits = {}
-    for i, ((_, _, rhs), template) in enumerate(
-        zip(support_layout(n, alpha), _templates(n, alpha))
-    ):
+    for i, (spec, template) in enumerate(zip(support_layout(n, alpha), _templates(n, alpha))):
         # alpha is finite, but the diagonal's rhs can overflow to inf
-        if not (math.isfinite(rhs) and lines[1 + i] == template):
-            edits[i] = _parse_row(lines[1 + i], 2 + i, n)
+        if not (math.isfinite(spec[2]) and lines[1 + i] == template):
+            q = _parse_row(lines[1 + i], 2 + i, n)
+            if not _is_layout_row(q, n, *spec):
+                edits[i] = q
     first = 2 * n + 1
     block = _parse_block(lines[1 + first : 1 + m], 2 + first, n)
     c = np.array(_floats(lines[1 + m], m + 2, n))

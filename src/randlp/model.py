@@ -62,20 +62,21 @@ def diagonal_rhs(n: int, alpha: float) -> float:
     return (n - 1) * alpha + alpha / 2
 
 
-def bound_violations(p: GeneratorParams) -> list[str]:
+def bound_violations(p: GeneratorParams, stored_ok: bool = True) -> list[str]:
     """The conditions of ``validate_params`` on rho, l_max and s_min, the
     acceptance bounds an instance file does not store; ``rho < theta`` and
-    the n = 1 rule read the n, alpha and theta the file does store."""
+    the n = 1 rule read the n, alpha and theta the file does store, and are
+    left out when ``stored_ok`` says those fail their own conditions."""
     out = []
     # an infinite rho is reported as "rho finite" alone
-    if math.isfinite(p.rho) and not p.rho < p.theta:
+    if stored_ok and math.isfinite(p.rho) and not p.rho < p.theta:
         out.append("rho < theta")
     out += _positive_finite(p, ("rho", "l_max", "s_min"))
     if not p.l_max <= _L_MAX_CAP:
         out.append(f"l_max <= {_L_MAX_CAP}")
     # At n = 1 the bounding rows x <= alpha and x <= alpha/2 share a unit
     # normal, so their offsets must stay s_min apart.
-    if p.n == 1 and not p.s_min <= p.alpha / 2:
+    if stored_ok and p.n == 1 and not p.s_min <= p.alpha / 2:
         out.append("s_min <= alpha/2 when n = 1")
     return out
 

@@ -25,6 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import (
+    axis_pairs,
     direction_cut,
     hypercube_center,
     likeness,
@@ -192,7 +193,7 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     X /= norms[xi, None]
     B /= norms
     out.extend(
-        _pairwise_likeness_violations(inst, X, pos, B, norms, usable, families, p.l_max, p.s_min)
+        _pairwise_likeness_violations(inst, X, pos, B, usable, families, p.l_max, p.s_min)
     )
     return ValidationReport(not out, tuple(out))
 
@@ -235,54 +236,50 @@ def _axis_row(n: int, coef: float) -> np.ndarray:
 _PAIR_BLOCK = 256
 
 
-def _pairwise_likeness_violations(inst, X, pos, beta, norms, usable, families, l_max, s_min):
+def _pairwise_likeness_violations(inst, X, pos, beta, usable, families, l_max, s_min):
     """All-pairs dissimilarity check of the usable rows, in row-major (i, j) order.
 
     ``X`` holds unit rows, row i at ``pos[i]`` where that is not -1, each
-    row of ``families`` has the unit row coef/norm * e_j, and ``beta``
-    holds the normalized offset of every row.  The shortlist holds every
-    pair within the direction and offset bounds, by the values
-    ``near_pairs`` computes over a stack of all unit rows, with the earlier
-    row of each pair as the query:
+    row of ``families`` is coef * e_j, and ``beta`` holds the normalized
+    offset of every row.  The shortlist holds every pair within the
+    direction and offset bounds, found by where its rows come from:
 
-    * between rows with two or more nonzeros, ``near_pairs`` itself, walked
-      in blocks of ``_PAIR_BLOCK`` rows against the rows after the block's
-      first;
-    * for a row with one nonzero u_c at column c, or none, the dot product
-      with any row v is u_c * v_c, the one product of the sum that is not
-      zero: a column of the other rows times u_c, one product between such
-      rows of the same column, and zero between those of different columns.
+    * two rows of X: ``near_pairs``, walked in blocks of ``_PAIR_BLOCK``
+      rows against the rows after the block's first;
+    * a row of X and a row of a family: ``axis_pairs``, the closed-form
+      shortlist the generator's ``BoundingScreen`` uses;
+    * two rows of the families: +-e_j and +-e_k have dot product 0 or -1
+      and halves 1/2, so no such pair is near unless
+      ``-1/2 > direction_cut(1/2, l_max)``, which needs l_max above about
+      sqrt(2); then every such pair within ``s_min`` in offset is kept.
 
     Each survivor is rechecked with the exact scalar predicate, so the
-    verdict never depends on BLAS summation order.  The reported gap is
-    read off the unit rows.  Peak memory is O(_PAIR_BLOCK * m), not O(m^2).
+    verdict never depends on BLAS summation order or on how the pair was
+    shortlisted.  The reported gap is read off the unit rows.  Peak memory
+    is O(_PAIR_BLOCK * m), not O(m^2).
     """
     n = inst.n
     xi = np.flatnonzero(pos >= 0)
     ok = usable[xi]
-    nnz = np.count_nonzero(X, axis=1)
-    dense = np.flatnonzero(ok & (nnz > 1))
-    sparse = np.flatnonzero(ok & (nnz <= 1))
-    col = np.argmax(X[sparse] != 0.0, axis=1)
-    parts = [(xi[sparse], col, X[sparse, col])]
-    for rows, coef, _ in families:
+    xi = xi[ok]
+    units = X[ok]
+    stack = (units, row_sumsq(units) / 2.0, beta[xi])
+    pairs = list(_stack_pairs(xi, stack, l_max, s_min))
+    fam = []
+    for rows, coef, rhs in families:
         rows = rows[usable[rows]]
-        parts.append((rows, rows % n, coef / norms[rows]))
-    s_idx, s_col, s_val = (np.concatenate(x) for x in zip(*parts))
-    # index, column, unit value, half squared norm, offset: what row_sumsq
-    # gives for a row with one nonzero is its square
-    sparse_rows = (s_idx, s_col, s_val, s_val * s_val / 2.0, beta[s_idx])
-    units = X[dense]
-    dense_rows = (xi[dense], units, row_sumsq(units) / 2.0, beta[xi[dense]])
-
-    pairs = [
-        *_dense_pairs(dense_rows, l_max, s_min),
-        *_mixed_pairs(dense_rows, sparse_rows, l_max, s_min),
-        *_same_column_pairs(sparse_rows, l_max, s_min),
-        *_zero_product_pairs(sparse_rows, l_max, s_min),
-    ]
-    if not pairs:
-        return []
+        fam.append(rows)
+        row_of = np.full(n, -1)  # the family's row of each column, if usable
+        row_of[rows % n] = rows
+        x, j = axis_pairs(stack, coef, rhs, l_max, s_min)
+        hit = row_of[j] >= 0
+        x, f = xi[x[hit]], row_of[j[hit]]
+        pairs.append((np.minimum(x, f), np.maximum(x, f)))
+    fam = np.concatenate(fam)  # in row order: the rows of +e_j come first
+    if -0.5 > direction_cut(0.5, l_max):
+        i, j = np.triu_indices(len(fam), 1)
+        near = np.abs(beta[fam[j]] - beta[fam[i]]) < s_min
+        pairs.append((fam[i[near]], fam[j[near]]))
     ii, jj = (np.concatenate(x) for x in zip(*pairs))
     order = np.lexsort((jj, ii))
 
@@ -290,7 +287,7 @@ def _pairwise_likeness_violations(inst, X, pos, beta, norms, usable, families, l
         if pos[i] >= 0:
             return X[pos[i]]
         u = np.zeros(n)
-        u[i % n] = (1.0 if i < n else -1.0) / norms[i]
+        u[i % n] = 1.0 if i < n else -1.0
         return u
 
     out = []
@@ -308,72 +305,17 @@ def _pairwise_likeness_violations(inst, X, pos, beta, norms, usable, families, l
     return out
 
 
-def _dense_pairs(dense, l_max, s_min):
-    """Shortlisted (earlier, later) row index pairs among the dense rows."""
-    idx, units, halves, beta = dense
-    triple = (units, halves, beta)
+def _stack_pairs(idx, stack, l_max, s_min):
+    """Shortlisted (earlier, later) row index pairs among the rows of
+    ``stack``, whose row k is row ``idx[k]``."""
     for lo in range(0, len(idx) - 1, _PAIR_BLOCK):
         hi = min(lo + _PAIR_BLOCK, len(idx) - 1)
-        ii, jj = near_pairs([x[lo + 1 :] for x in triple], [x[lo:hi] for x in triple],
+        ii, jj = near_pairs([x[lo + 1 :] for x in stack], [x[lo:hi] for x in stack],
                             l_max, s_min)
         ii += lo
         jj += lo + 1
         keep = jj > ii
         yield idx[ii[keep]], idx[jj[keep]]
-
-
-def _mixed_pairs(dense, sparse, l_max, s_min):
-    """Shortlisted pairs of a dense and a sparse row, in blocks of dense rows."""
-    d_idx, units, d_half, d_beta = dense
-    s_idx, s_col, s_val, s_half, s_beta = sparse
-    if not (len(d_idx) and len(s_idx)):
-        return
-    s_cut = direction_cut(s_half, l_max)
-    for lo in range(0, len(d_idx), _PAIR_BLOCK):
-        block = slice(lo, lo + _PAIR_BLOCK)
-        dots = units[block][:, s_col] * s_val
-        near = np.where(
-            d_idx[block, None] < s_idx,
-            dots - s_half > direction_cut(d_half[block], l_max)[:, None],
-            dots - d_half[block, None] > s_cut,
-        )
-        near &= np.abs(s_beta - d_beta[block, None]) < s_min
-        r, s = np.divmod(np.flatnonzero(near), len(s_idx))
-        a, b = d_idx[lo + r], s_idx[s]
-        yield np.minimum(a, b), np.maximum(a, b)
-
-
-def _same_column_pairs(sparse, l_max, s_min):
-    """Shortlisted pairs of sparse rows of the same column."""
-    order = np.lexsort((sparse[0], sparse[1]))  # by column, then row index
-    idx, col, val, half, beta = (x[order] for x in sparse)
-    for k in range(1, len(idx)):
-        # rows k apart in the order; none means none further apart either
-        q = np.flatnonzero(col[k:] == col[:-k])
-        if not q.size:
-            break
-        r = q + k
-        near = val[q] * val[r] - half[r] > direction_cut(half[q], l_max)
-        near &= np.abs(beta[r] - beta[q]) < s_min
-        yield idx[q[near]], idx[r[near]]
-
-
-def _zero_product_pairs(sparse, l_max, s_min):
-    """Shortlisted pairs of sparse rows of different columns: their dot
-    product is zero, so the direction test reads -half > cut, which holds
-    only where both halves are small (a row whose norm overflowed)."""
-    idx, col, _, half, beta = sparse
-    if not len(idx):
-        return
-    cut = direction_cut(half, l_max)
-    queries = np.flatnonzero(cut < (-half).max())
-    rows = np.flatnonzero(-half > cut.min())
-    for lo in range(0, len(queries), _PAIR_BLOCK):
-        q = queries[lo : lo + _PAIR_BLOCK, None]
-        near = (idx[q] < idx[rows]) & (col[q] != col[rows]) & (-half[rows] > cut[q])
-        near &= np.abs(beta[rows] - beta[q]) < s_min
-        qi, ri = np.divmod(np.flatnonzero(near), len(rows))
-        yield idx[q[qi, 0]], idx[rows[ri]]
 
 
 def _solve_square(A: np.ndarray, b: np.ndarray, tol: float = 1e-9):

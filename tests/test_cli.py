@@ -321,6 +321,31 @@ def test_validate_reports_stored_parameters_that_gen_refuses(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("text, want", [
+    # theta = -1: rho < theta fails for any rho > 0
+    ("2 5 0 0\n1 0 200\n0 1 200\n-1 0 0\n0 -1 0\n1 1 300\n-2 -1\n",
+     ["structure: theta > 0 (measured -1.0, bound 0.0)"]),
+    ("2 5 0 0\n1 0 0\n0 1 0\n-1 0 0\n0 -1 0\n1 1 0\n0 0\n",
+     ["structure: alpha > 0 (measured 0.0, bound 0.0)",
+      "structure: theta > 0 (measured 0.0, bound 0.0)"]),
+    # n = 1 and alpha = 0: the n = 1 rule fails for any s_min > 0 too
+    ("1 3 0 0\n1 0\n-1 0\n1 0\n0\n",
+     ["structure: alpha > 0 (measured 0.0, bound 0.0)",
+      "structure: theta > 0 (measured 0.0, bound 0.0)"]),
+], ids=["theta-1", "alpha0-theta0", "n1-alpha0-theta0"])
+def test_validate_does_not_blame_the_bounds_for_the_file_parameters(tmp_path, capsys, text,
+                                                                     want):
+    out = tmp_path / "bad.txt"
+    out.write_text(text)
+    assert run_cli(["validate", "--in", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == want + [f"invalid: {len(want)} violation(s)"]
+    # the bounds given are still judged on their own conditions
+    assert run_cli(["validate", "--in", str(out), "--smin", "0"]) == 2
+    assert capsys.readouterr().err == "parameter violation: s_min > 0\n"
+
+
 @pytest.fixture
 def duplicate_row_file(tmp_path):
     """A generated file whose last random row is copied over the one before."""

@@ -16,7 +16,15 @@ from randlp import (
     objective_value,
     project_center,
 )
-from randlp.geometry import BoundingScreen, near_pairs, row_dots, row_norms, row_sumsq
+from randlp.geometry import (
+    BoundingScreen,
+    axis_pairs,
+    direction_cut,
+    near_pairs,
+    row_dots,
+    row_norms,
+    row_sumsq,
+)
 
 H = hypercube_center(2, 200.0)
 
@@ -589,23 +597,31 @@ def unit_triple(A, B):
     spread=st.sampled_from([0.0, 1e-3, 0.05, 0.2, 1.0]),
     l_max=st.floats(0.01, 0.7),
     s_min=st.floats(1.0, 150.0),
-    same=st.booleans(),
+    case=st.sampled_from(["other", "same", "axis"]),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_near_pairs_keeps_every_alike_pair_in_query_then_row_order(
-    n, seed, k, kq, spread, l_max, s_min, same
+    n, seed, k, kq, spread, l_max, s_min, case
 ):
     # planted near-duplicates around three bases, one zeroed row and one row
-    # scaled so its norm overflows per stack; with `same` the queries are
-    # the rows themselves, as in the validator and within an index's stack
+    # scaled so its norm overflows per stack; the queries are a second such
+    # stack, or the rows themselves, as in the validator and within an
+    # index's stack; for "axis" the rows are the explicit stack of coef * e_j
+    # with offset rhs, and the queries lie around three of them with offsets
+    # on both sides of s_min, so axis_pairs can be checked against near_pairs
     gen = np.random.default_rng(seed)
     bases = [(gen.standard_normal(n), float(gen.uniform(-100.0, 100.0))) for _ in range(3)]
+    coef, rhs = float(gen.choice([1.0, -1.0])), float(gen.uniform(-100.0, 100.0))
+    reach = s_min
+    if case == "axis":
+        bases = [(coef * np.eye(n)[j], rhs) for j in gen.integers(n, size=3)]
+        reach = 2.0 * s_min
 
     def stack(count):
         rows = []
         for _ in range(count):
             v, beta = bases[int(gen.integers(3))]
-            shift = gen.uniform(-s_min, s_min)
+            shift = gen.uniform(-reach, reach)
             rows.append(near_row(gen, v / float(row_norms(v)), beta, spread, shift, 1.0))
         A = np.stack([a for a, _ in rows])
         B = np.array([b for _, b in rows])
@@ -616,10 +632,13 @@ def test_near_pairs_keeps_every_alike_pair_in_query_then_row_order(
         B[zero] = 0.0
         return unit_triple(A, B)
 
-    rows = stack(k)
-    queries = rows if same else stack(kq)
+    if case == "axis":
+        rows = unit_triple(coef * np.eye(n), np.full(n, rhs))
+    else:
+        rows = stack(k)
+    queries = rows if case == "same" else stack(kq)
     units, _, offsets = rows
-    q_units, _, q_offsets = queries
+    q_units, q_halves, q_offsets = queries
     want = [
         (i, j)
         for i in range(len(q_units))
@@ -632,3 +651,11 @@ def test_near_pairs_keeps_every_alike_pair_in_query_then_row_order(
     assert got == sorted(set(got))  # query then row, each pair once
     assert set(want) <= set(got)
     assert all(abs(offsets[j] - q_offsets[i]) < s_min for i, j in got)
+    if case == "axis":
+        qi, ji = axis_pairs(queries, coef, rhs, l_max, s_min)
+        axis = list(zip(qi.tolist(), ji.tolist()))
+        assert axis == sorted(set(axis))
+        assert set(want) <= set(axis)
+        # both cut the same product coef * u_j, at cuts an ulp or so apart
+        cut = direction_cut(q_halves + 0.5, l_max)
+        assert all(abs(coef * q_units[i, j] - cut[i]) < 1e-12 for i, j in set(axis) ^ set(got))

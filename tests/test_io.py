@@ -289,6 +289,27 @@ def test_alpha_spelled_another_way_reads_through_the_slow_path(monkeypatch):
     assert blocks == [[7, 8, 9]]
 
 
+def test_bounding_lines_spelled_another_way_stay_in_closed_form():
+    # every 0 of the bounding lines spelled 0.0, and 1 as 1.0: each line
+    # differs from its template, but each row is bitwise the canonical one
+    inst, _ = generate_sequential(GeneratorParams(n=4, d=3, seed=1))
+    text = instance_to_text(inst)
+    lines = text.splitlines()
+    for i in range(1, 2 * inst.n + 2):
+        lines[i] = " ".join(t if t not in ("0", "1", "-1") else t + ".0"
+                            for t in lines[i].split())
+    assert lines[1] == "1.0 0.0 0.0 0.0 200"
+    back = read_instance(io.StringIO("\n".join(lines) + "\n"))
+    assert back.bounding.edits == {}
+    assert back == inst
+    assert instance_to_text(back) == text
+    # a -0.0 is not bitwise the canonical 0, so that row stays an edit
+    lines[2] = "-0 1 0 0 200"
+    back = read_instance(io.StringIO("\n".join(lines) + "\n"))
+    assert list(back.bounding.edits) == [1]
+    assert instance_to_text(back).splitlines()[2] == "-0 1 0 0 200"
+
+
 # --- non-finite tokens --------------------------------------------------------
 
 

@@ -602,10 +602,18 @@ def test_n1_file_reports_the_diagonal_alike_with_the_first_row():
     ]
 
 
-@pytest.mark.parametrize("l_max, s_min", [(1.5, 300.0), (1.9, 1e4)])
+@pytest.mark.parametrize("l_max, s_min", [
+    (1.5, 300.0), (1.9, 1e4),
+    # just above sqrt(2), where the pairs within the families start to count
+    (1.41422, 300.0),
+    # s_min < alpha: only pairs within one family are near in offset
+    (1.5, 150.0),
+    # above 2 also +e_j and -e_j of the same column are close enough
+    (2.0001, 300.0),
+])
 def test_rows_with_one_nonzero_of_different_columns_pair_up_under_a_wide_bound(l_max, s_min):
-    # above l_max = 1 rows +-e_j and +-e_k of different columns are close
-    # enough in direction, so the zero product between them decides
+    # above l_max = sqrt(2) rows +-e_j and +-e_k of different columns are
+    # close enough in direction, so the zero product between them decides
     inst, _ = generate_sequential(GeneratorParams(n=3, d=4, seed=1))
     rows = list(inst.constraints)
     rows[8] = Inequality([0.0, 2.0, 0.0], 300.0)
@@ -615,3 +623,66 @@ def test_rows_with_one_nonzero_of_different_columns_pair_up_under_a_wide_bound(l
     assert any(i < 6 and j < 6 and i % 3 != j % 3
                for j, cond in want for i in [int(cond.rsplit(" ", 1)[1])])
     assert alike_violations(validate_instance(wide)) == want
+
+
+# --- a seeded sweep of tampered instances ----------------------------------------
+
+
+def _random_tampering(gen, inst, rows):
+    """Apply one tampering, drawn from gen, to the list of constraint rows."""
+    n, m = inst.n, len(rows)
+    i, k = (int(x) for x in gen.integers(m, size=2))
+    kind = gen.choice(["one nonzero", "scaled copy", "nan", "negative zero", "swap",
+                       "perturbed copy"])
+    if kind == "one nonzero":
+        # a row +-t e_j, its offset that of some bounding row or anywhere
+        a = np.zeros(n)
+        a[gen.integers(n)] = gen.choice([-1.0, 1.0]) * gen.choice([1.0, 0.5, 3.0])
+        b = float(gen.choice([0.0, inst.params.alpha, gen.uniform(-300.0, 300.0)]))
+        rows[i] = Inequality(a, abs(a).max() * b)
+    elif kind == "scaled copy":
+        s = float(gen.choice([2.0, 0.5, 3.0, 1e200, 1e-170]))
+        rows[i] = Inequality(s * rows[k].a, s * rows[k].b)
+    elif kind == "nan":
+        rows[i] = Inequality(*with_a0(math.nan)(rows[i].a.copy(), rows[i].b))
+    elif kind == "negative zero":
+        a = rows[i].a.copy()
+        a[gen.integers(n)] = -0.0
+        rows[i] = Inequality(a, rows[i].b)
+    elif kind == "swap":
+        rows[i], rows[k] = rows[k], rows[i]
+    else:
+        a = rows[k].a * (1.0 + 1e-3 * gen.standard_normal(n))
+        rows[i] = Inequality(a, rows[k].b + float(gen.uniform(-50.0, 50.0)))
+
+
+@pytest.fixture(scope="module")
+def sweep_bases():
+    return [generate_sequential(GeneratorParams(n=n, d=d, seed=seed))[0]
+            for n, d, seed in [(1, 0, 0), (2, 5, 42), (3, 6, 1), (4, 8, 2), (5, 10, 3)]]
+
+
+def test_seeded_tampered_sweep_matches_the_references(sweep_bases):
+    # 300 instances, each with 1-4 tamperings and its own l_max and s_min:
+    # the pair shortlists (stacked rows, closed-form axis rows, pairs within
+    # the axis families above l_max = sqrt(2)) must keep every alike pair,
+    # and the row conditions must be those of one row at a time
+    gen = np.random.default_rng(20261019)
+    seen = set()
+    for _ in range(300):
+        inst = sweep_bases[int(gen.integers(len(sweep_bases)))]
+        rows = list(inst.constraints)
+        for _ in range(int(gen.integers(1, 5))):
+            _random_tampering(gen, inst, rows)
+        params = replace(inst.params, l_max=float(gen.choice([0.35, 0.7, 1.5, 1.9])),
+                         s_min=float(gen.choice([100.0, 300.0])))
+        k = len(inst.support)
+        bad = replace(inst, support=tuple(rows[:k]), random=tuple(rows[k:]), params=params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = validate_instance(bad)
+            alike = alike_violations(report)
+            assert alike == all_pairs_reference(bad)
+            assert row_violations(report) == per_row_reference(bad)
+        seen.add((params.l_max, bool(alike)))
+    # every l_max was drawn, with and without alike pairs
+    assert seen == {(l, hit) for l in (0.35, 0.7, 1.5, 1.9) for hit in (False, True)}
