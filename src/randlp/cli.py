@@ -99,11 +99,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     inst = read_instance(args.infile)
     params = dataclasses.replace(inst.params, rho=args.rho, l_max=args.l_max, s_min=args.s_min)
-    # While the stored alpha and theta fail their own conditions,
-    # validate_instance reports them, and the rules that read them would
-    # blame the bounds given here for the file.
-    stored_ok = params.alpha > 0 and 0 < params.theta <= params.alpha / 2
-    violations = bound_violations(params, stored_ok)
+    violations = bound_violations(params)
     if violations:
         raise ParameterError(violations)
     report = validate_instance(inst.with_params(params))

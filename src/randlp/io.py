@@ -18,18 +18,18 @@ alpha/2)``.  The writer emits the template for each row the instance's
 (say one holding -0.0 or nan) with one ``%`` over all its numbers; the random
 rows are formatted from their array with one ``%`` per row.  Either way the
 bytes are exactly those of formatting every token on its own.  The writer
-hands the text out in chunks, so a file is written without the whole text in
-memory.
+hands the text out line by line, so a file is written without the whole text
+in memory; the file object buffers it.
 
-The reader keeps a bounding line equal to its template in closed form, and
-parses every other one token by token, keeping it in closed form too when
-its row is bitwise the canonical one (``200.0`` for ``200``, say).  It
-parses the d random lines as one block with ``np.loadtxt``, which converts
-each number as ``float`` does; when that raises, gives another shape or a
-number that is not finite, the lines are parsed token by token instead,
-which also accepts what only ``float`` accepts (``1_0``, digits of other
-scripts) and raises the ``ParseError`` of the first bad line.  Every number
-read must be finite.
+The reader keeps a bounding line equal to its template in closed form.  It
+parses every other bounding line (``200.0`` for ``200``, say) together with
+the d random lines, as one block with ``np.loadtxt``, which converts each
+number as ``float`` does; ``BoundingBlock.from_rows`` then keeps a parsed
+bounding row in closed form too when it is bitwise the canonical one.  When
+the block parse raises, gives another shape or a number that is not finite,
+the lines are parsed token by token instead, which also accepts what only
+``float`` accepts (``1_0``, digits of other scripts) and raises the
+``ParseError`` of the first bad line.  Every number read must be finite.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from .model import (
     GeneratorParams,
     Inequality,
     LPInstance,
-    _is_layout_row,
+    diagonal_rhs,
     support_layout,
 )
 
@@ -102,36 +102,22 @@ def instance_to_text(inst: LPInstance) -> str:
     return "".join(_lines(inst))
 
 
-# Text handed to a file in one write: enough lines for about 64 KiB.
-_CHUNK = 1 << 16
-
-
-def _chunks(lines):
-    buf, size = [], 0
-    for line in lines:
-        buf.append(line)
-        size += len(line)
-        if size >= _CHUNK:
-            yield "".join(buf)
-            buf, size = [], 0
-    if buf:
-        yield "".join(buf)
-
-
-def _write_text(pieces, dest) -> None:
+def _write_text(lines, dest) -> None:
     if hasattr(dest, "write"):
-        for piece in pieces:
-            dest.write(piece)
+        for line in lines:
+            dest.write(line)
     else:
-        with open(dest, "w") as f:
-            for piece in pieces:
-                f.write(piece)
+        # a buffer larger than a line of thousands of numbers, which the
+        # default 8 KiB one would pass to the system one write per line
+        with open(dest, "w", buffering=1 << 16) as f:
+            for line in lines:
+                f.write(line)
 
 
 def write_instance(inst: LPInstance, dest) -> None:
-    """Serialize to a path or a writable text file object, in chunks of
-    about 64 KiB of text."""
-    _write_text(_chunks(_lines(inst)), dest)
+    """Serialize to a path or a writable text file object, line by line;
+    the file object buffers the text."""
+    _write_text(_lines(inst), dest)
 
 
 def _floats(line: str, line_no: int, count: int) -> list[float]:
@@ -149,14 +135,10 @@ def _floats(line: str, line_no: int, count: int) -> list[float]:
     return vals
 
 
-def _parse_row(line: str, line_no: int, n: int) -> Inequality:
-    vals = _floats(line, line_no, n + 1)
-    return Inequality(vals[:n], vals[n])
-
-
-def _parse_block(lines: list[str], line_no: int, n: int) -> np.ndarray:
-    """The rows of n coefficients and a right-hand side on ``lines``, the
-    first of them line ``line_no``, as one (len(lines), n+1) array."""
+def _parse_block(lines: list[str], line_nos: list[int], n: int) -> np.ndarray:
+    """The rows of n coefficients and a right-hand side on ``lines``, each
+    line ``lines[k]`` line ``line_nos[k]`` of the text, as one
+    (len(lines), n+1) array."""
     if not lines:
         return np.empty((0, n + 1))
     try:
@@ -164,7 +146,7 @@ def _parse_block(lines: list[str], line_no: int, n: int) -> np.ndarray:
     except ValueError:
         block = None
     if block is None or block.shape != (len(lines), n + 1) or not np.isfinite(block).all():
-        block = np.array([_floats(line, line_no + k, n + 1) for k, line in enumerate(lines)])
+        block = np.array([_floats(line, no, n + 1) for line, no in zip(lines, line_nos)])
     return block
 
 
@@ -211,23 +193,26 @@ def read_instance(source) -> LPInstance:
 
     # The first bounding row carries alpha, which sets the text expected of
     # every bounding row.  A line that differs from that text, even by
-    # spelling a number another way, is parsed token by token, and kept as
-    # an edit only if its row is not bitwise the canonical one.
+    # spelling a number another way, and the diagonal's line when its
+    # right-hand side overflows, are parsed with the random lines;
+    # ``BoundingBlock.from_rows`` keeps such a row in closed form when it is
+    # bitwise the canonical one.
     alpha = _floats(lines[1], 2, n + 1)[n]
-    edits = {}
-    for i, (spec, template) in enumerate(zip(support_layout(n, alpha), _templates(n, alpha))):
-        # alpha is finite, but the diagonal's rhs can overflow to inf
-        if not (math.isfinite(spec[2]) and lines[1 + i] == template):
-            q = _parse_row(lines[1 + i], 2 + i, n)
-            if not _is_layout_row(q, n, *spec):
-                edits[i] = q
     first = 2 * n + 1
-    block = _parse_block(lines[1 + first : 1 + m], 2 + first, n)
+    overflow = not math.isfinite(diagonal_rhs(n, alpha))
+    picked = [i for i, template in enumerate(_templates(n, alpha))
+              if lines[1 + i] != template or (overflow and i == 2 * n)]
+    k = len(picked)
+    picked += range(first, m)
+    block = _parse_block([lines[1 + i] for i in picked], [2 + i for i in picked], n)
+    rows = [None] * first
+    for i, row in zip(picked[:k], block[:k]):
+        rows[i] = Inequality(row[:n], row[n])
     c = np.array(_floats(lines[1 + m], m + 2, n))
 
     params = GeneratorParams(n=n, d=d, seed=seed, alpha=alpha, theta=float(c[-1]))
     return LPInstance.from_arrays(
-        n, BoundingBlock(n, alpha, first, edits), block[:, :n], block[:, n], c, params
+        n, BoundingBlock.from_rows(n, alpha, rows), block[k:, :n], block[k:, n], c, params
     )
 
 

@@ -1,7 +1,6 @@
 """Parameter set, constraint/instance containers, and parameter validation."""
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,21 +61,22 @@ def diagonal_rhs(n: int, alpha: float) -> float:
     return (n - 1) * alpha + alpha / 2
 
 
-def bound_violations(p: GeneratorParams, stored_ok: bool = True) -> list[str]:
+def bound_violations(p: GeneratorParams) -> list[str]:
     """The conditions of ``validate_params`` on rho, l_max and s_min, the
     acceptance bounds an instance file does not store; ``rho < theta`` and
-    the n = 1 rule read the n, alpha and theta the file does store, and are
-    left out when ``stored_ok`` says those fail their own conditions."""
+    the n = 1 rule read the n, alpha and theta a file does store, and are
+    left out while alpha or theta fails its own conditions."""
     out = []
+    stored_usable = 0 < p.alpha < math.inf and 0 < p.theta <= p.alpha / 2
     # an infinite rho is reported as "rho finite" alone
-    if stored_ok and math.isfinite(p.rho) and not p.rho < p.theta:
+    if stored_usable and math.isfinite(p.rho) and not p.rho < p.theta:
         out.append("rho < theta")
     out += _positive_finite(p, ("rho", "l_max", "s_min"))
     if not p.l_max <= _L_MAX_CAP:
         out.append(f"l_max <= {_L_MAX_CAP}")
     # At n = 1 the bounding rows x <= alpha and x <= alpha/2 share a unit
     # normal, so their offsets must stay s_min apart.
-    if stored_ok and p.n == 1 and not p.s_min <= p.alpha / 2:
+    if stored_usable and p.n == 1 and not p.s_min <= p.alpha / 2:
         out.append("s_min <= alpha/2 when n = 1")
     return out
 
@@ -203,14 +203,14 @@ class BoundingBlock:
 
     @classmethod
     def from_rows(cls, n: int, alpha: float, rows) -> "BoundingBlock":
-        alpha = float(alpha)
-        layout = support_layout(n, alpha)
+        """The block of ``rows``; a row that is None is canonical."""
+        block = cls.canonical(n, float(alpha))
         edits = {
             i: q
-            for i, (q, spec) in enumerate(itertools.zip_longest(rows, layout))
-            if q is not None and (spec is None or not _is_layout_row(q, n, *spec))
+            for i, q in enumerate(rows)
+            if q is not None and (i > 2 * n or not _is_layout_row(q, n, *block.spec(i)))
         }
-        return cls(n, alpha, len(rows), edits)
+        return cls(n, block.alpha, len(rows), edits)
 
     def spec(self, i: int):
         """Row i < 2n+1 of the bounding system as (j, coef, rhs), the form

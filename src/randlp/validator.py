@@ -71,14 +71,13 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     with the row kernels a one-row check uses, so every verdict and every
     measured value equals that of checking the rows one at a time.  The rows
     x_j <= alpha and -x_j <= 0 that the instance holds in closed form are
-    not stacked: each of the two families is checked through its row for
-    j = 0, whose values are those of every row of the family because the
-    center h has equal coordinates.  The violations
-    come out in row order too: structural (with the conditions of
-    ``validate_params`` on the alpha and theta that a file stores),
-    bounding rows and objective, non-finite rows, zero rows, then per row
-    its center feasibility, distance band and objective improvement, then
-    the alike pairs.
+    not stacked: a row coef * e_j has sum of squares 1 and, alpha being
+    finite by then, product coef * h_0 with the center h, whose coordinates
+    are equal.  The violations come out in row order too: structural (with
+    the conditions of ``validate_params`` on the alpha and theta that a file
+    stores), bounding rows and objective, non-finite rows, zero rows, then
+    per row its center feasibility, distance band and objective
+    improvement, then the alike pairs.
     """
     out: list[Violation] = []
     n = inst.n
@@ -98,8 +97,11 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
             out.append(Violation(i, "coefficient row length", block.edits[i].a.shape[0], n))
     # the conditions of validate_params on the parameters a file stores
     for name in ("alpha", "theta"):
-        if not getattr(p, name) > 0:
-            out.append(Violation(-1, f"{name} > 0", getattr(p, name), 0.0))
+        value = getattr(p, name)
+        if not value > 0:
+            out.append(Violation(-1, f"{name} > 0", value, 0.0))
+        if not math.isfinite(value):
+            out.append(Violation(-1, f"{name} finite", value, "finite"))
     if not p.theta <= p.alpha / 2:
         out.append(Violation(-1, "theta <= alpha/2", p.theta, p.alpha / 2))
     if out:
@@ -130,8 +132,8 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     families = _axis_families(block)
     sumsq = np.empty(inst.m)
     sumsq[xi] = row_sumsq(X)
-    for rows, coef, rhs in families:
-        sumsq[rows] = row_sumsq(_axis_row(n, coef))
+    for rows, _, rhs in families:
+        sumsq[rows] = 1.0
         B[rows] = rhs
     norms = np.sqrt(sumsq)  # row_norms of each row
     # A nan or inf coefficient makes the norm non-finite, and so can a sum of
@@ -155,7 +157,7 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     ah = np.empty(inst.m)
     ah[xi] = row_dots(X, h)
     for rows, coef, _ in families:
-        ah[rows] = row_dots(_axis_row(n, coef), h)
+        ah[rows] = coef * h[0]
     # rows from `first` on are random rows, the last d rows of X: distance
     # band and objective improvement apply to those only
     # a one-row check did this arithmetic on Python floats, which overflow,
@@ -223,14 +225,6 @@ def _axis_families(block: BoundingBlock):
     return [(rows[rows < n], 1.0, block.alpha), (rows[rows >= n], -1.0, 0.0)]
 
 
-def _axis_row(n: int, coef: float) -> np.ndarray:
-    """The row coef * e_0: its sum of squares, and its dot product with the
-    center, whose coordinates are all equal, are those of every coef * e_j."""
-    a = np.zeros(n)
-    a[0] = coef
-    return a
-
-
 # Rows of the upper-triangle Gram slab computed at a time: the slab holds
 # _PAIR_BLOCK x m dot products, so memory grows with m, not m^2.
 _PAIR_BLOCK = 256
@@ -255,7 +249,8 @@ def _pairwise_likeness_violations(inst, X, pos, beta, usable, families, l_max, s
 
     Each survivor is rechecked with the exact scalar predicate, so the
     verdict never depends on BLAS summation order or on how the pair was
-    shortlisted.  The reported gap is read off the unit rows.  Peak memory
+    shortlisted.  The reported gap is the one ``likeness`` measures, read
+    off the two rows the recheck builds.  Peak memory
     is O(_PAIR_BLOCK * m), not O(m^2).
     """
     n = inst.n
@@ -283,17 +278,11 @@ def _pairwise_likeness_violations(inst, X, pos, beta, usable, families, l_max, s
     ii, jj = (np.concatenate(x) for x in zip(*pairs))
     order = np.lexsort((jj, ii))
 
-    def unit(i):
-        if pos[i] >= 0:
-            return X[pos[i]]
-        u = np.zeros(n)
-        u[i % n] = 1.0 if i < n else -1.0
-        return u
-
     out = []
     for i, j in zip(ii[order].tolist(), jj[order].tolist()):
-        if likeness(inst.row(i), inst.row(j), l_max, s_min):
-            gap = float(row_norms(unit(i) - unit(j)))
+        qi, qj = inst.row(i), inst.row(j)
+        if likeness(qi, qj, l_max, s_min):
+            gap = float(row_norms(qi.a / row_norms(qi.a) - qj.a / row_norms(qj.a)))
             out.append(
                 Violation(
                     j,

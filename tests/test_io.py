@@ -277,16 +277,16 @@ def test_alpha_spelled_another_way_reads_through_the_slow_path(monkeypatch):
     monkeypatch.setattr(rio, "_floats", lambda line, no, count: parsed.append(no) or floats(line, no, count))
     blocks = []
     parse_block = rio._parse_block
-    monkeypatch.setattr(rio, "_parse_block", lambda lines, no, n: blocks.append(
-        list(range(no, no + len(lines)))) or parse_block(lines, no, n))
+    monkeypatch.setattr(rio, "_parse_block", lambda lines, nos, n: blocks.append(
+        list(nos)) or parse_block(lines, nos, n))
     back = read_instance(io.StringIO("\n".join(lines) + "\n"))
     assert back == inst
     assert back.params.alpha == 200.0
-    # line 2 gives alpha; lines 2 and 3 differ from the template; the other
-    # bounding rows match it; the objective is always parsed, and the random
-    # rows are parsed as one block
-    assert parsed == [2, 2, 3, 10]
-    assert blocks == [[7, 8, 9]]
+    # line 2 gives alpha; lines 2 and 3 differ from the template and are
+    # parsed in one block with the random rows; the other bounding rows
+    # match it; the objective is always parsed
+    assert parsed == [2, 10]
+    assert blocks == [[2, 3, 7, 8, 9]]
 
 
 def test_bounding_lines_spelled_another_way_stay_in_closed_form():
@@ -384,9 +384,34 @@ finite_bits = st.integers(0, 2**64 - 1).filter(
 def test_block_parse_equals_float_bit_for_bit(bits, spelling):
     values = np.array(bits, dtype=np.uint64).view(np.float64).tolist()
     lines = [" ".join(spelling % v for v in values[k : k + 3]) for k in (0, 3)]
-    block = rio._parse_block(lines, 7, 2)
+    block = rio._parse_block(lines, [7, 8], 2)
     want = np.array([[float(t) for t in line.split()] for line in lines])
     assert block.tobytes() == want.tobytes()
+
+
+def test_first_bad_line_of_the_merged_parse_is_reported():
+    # line 3, a bounding line spelled another way, and line 7, a random
+    # line, are both corrupt: the bounding line comes first
+    lines = instance_to_text(_synthetic_instance(2, 2, 0)).splitlines()
+    assert lines[2] == "0 1 200"
+    lines[2] = "0.0 1 x"
+    lines[6] = "1 # 3"
+    with pytest.raises(ParseError, match=r"^line 3: not a number among: '0.0 1 x'$"):
+        read_instance(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_overflowing_diagonal_line_with_a_finite_rhs_is_an_edit():
+    # at n = 3 and alpha = 1e308 the diagonal's rhs 2.5e308 overflows, so
+    # its line is parsed even though it matches no template
+    lines = ["3 7 0 0", "1 0 0 1e+308", "0 1 0 1e+308", "0 0 1 1e+308",
+             "-1 0 0 0", "0 -1 0 0", "0 0 -1 0", "1 1 1 1e+308", "1.5 1 0.5"]
+    back = read_instance(io.StringIO("\n".join(lines) + "\n"))
+    assert back.bounding.edits.keys() == {6}
+    # the center (5e307, 5e307, 5e307) lies outside the row as read
+    report = validate_instance(back)
+    assert [(v.constraint, v.condition) for v in report.violations] == [
+        (6, "bounding row mismatch"), (6, "center feasibility a.h <= b")
+    ]
 
 
 def _random_line_read(replace_line):

@@ -35,6 +35,8 @@ def test_lmax_above_bound_rejected():
 def test_rho_must_be_below_theta():
     assert "rho < theta" in validate_params(make_params(rho=100.0))
     assert "rho < theta" in validate_params(make_params(rho=130.0))
+    # a theta that fails its own condition is reported alone
+    assert validate_params(GeneratorParams(n=2, theta=-1.0)) == ["theta > 0"]
 
 
 def test_violations_reported_collectively():

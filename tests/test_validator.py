@@ -134,6 +134,9 @@ def test_wrong_support_count_is_structural(demo_instance):
     (200.0, 0.0, [("theta > 0", 0.0, 0.0)]),
     (-4.0, -1.0, [("alpha > 0", -4.0, 0.0), ("theta > 0", -1.0, 0.0),
                   ("theta <= alpha/2", -1.0, -2.0)]),
+    (math.inf, 100.0, [("alpha finite", math.inf, "finite")]),
+    (math.inf, math.inf, [("alpha finite", math.inf, "finite"),
+                          ("theta finite", math.inf, "finite")]),
 ])
 def test_stored_parameters_that_gen_refuses_are_structural(demo_instance, alpha, theta, want):
     # alpha and theta are what a file stores of the parameters; the rows
