@@ -19,7 +19,10 @@ alpha/2)``.  The writer emits the template for each row the instance's
 rows are formatted from their array with one ``%`` per row.  Either way the
 bytes are exactly those of formatting every token on its own.  The writer
 hands the text out line by line, so a file is written without the whole text
-in memory; the file object buffers it.
+in memory; the file object buffers it.  The header's m counts 2n+1 bounding
+rows, so an instance whose block holds fewer or more (one built from a
+support tuple of another length) is refused with ``ValueError`` before a
+path is opened.
 
 The reader keeps a bounding line equal to its template in closed form.  It
 parses every other bounding line (``200.0`` for ``200``, say) together with
@@ -33,6 +36,7 @@ the lines are parsed token by token instead, which also accepts what only
 """
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 
@@ -82,16 +86,16 @@ def _templates(n: int, alpha: float):
 
 
 def _lines(inst: LPInstance):
-    """The lines of the text of inst, each with its newline."""
+    """The lines of the text of inst, each with its newline; the first
+    raises ``ValueError`` when the bounding block does not hold 2n+1 rows."""
     n = inst.n
     block = inst.bounding
+    if block.count != 2 * n + 1:
+        raise ValueError(f"{block.count} bounding rows; the text holds 2n+1 = {2 * n + 1}")
     yield f"{n} {inst.m} {inst.d} {inst.params.seed}\n"
-    for i, template in zip(range(block.count), _templates(n, block.alpha)):
+    for i, template in enumerate(_templates(n, block.alpha)):
         q = block.edits.get(i)
         yield (template if q is None else _row_text(q)) + "\n"
-    # a support tuple longer than 2n+1 keeps its extra rows
-    for i in range(2 * n + 1, block.count):
-        yield _row_text(block.edits[i]) + "\n"
     row_format = " ".join(["%.17g"] * (n + 1)) + "\n"
     for a, b in zip(inst.random_a, inst.random_b.tolist()):
         yield row_format % (*a.tolist(), b)
@@ -116,8 +120,11 @@ def _write_text(lines, dest) -> None:
 
 def write_instance(inst: LPInstance, dest) -> None:
     """Serialize to a path or a writable text file object, line by line;
-    the file object buffers the text."""
-    _write_text(_lines(inst), dest)
+    the file object buffers the text.  An instance the text cannot hold
+    raises ``ValueError`` before a path is opened."""
+    lines = _lines(inst)
+    # next() makes _lines check inst before a path is opened
+    _write_text(itertools.chain([next(lines)], lines), dest)
 
 
 def _floats(line: str, line_no: int, count: int) -> list[float]:

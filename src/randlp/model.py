@@ -333,11 +333,8 @@ class LPInstance:
         return len(self.random_b)
 
     def row(self, i: int) -> Inequality:
-        """Constraint i: an element of ``constraints`` once that is built,
-        else built alone."""
-        built = vars(self).get("constraints")
-        if built is not None:
-            return built[i]
+        """Constraint i, built alone from the bounding block or the random
+        rows: bitwise the element i of ``constraints``."""
         k = self.bounding.count
         if i < k:
             return self.bounding.row(i)

@@ -8,9 +8,9 @@ bounds get a relative slack of 1e-9 so serialization round-trips can never
 flip them.  All strict comparisons go through the same row kernels the
 generator used, so a generated instance validates bit-for-bit.
 
-All checks share one stack of the rows, each at its own index: an unusable
-row is reported, zeroed and masked, and the pair walk normalizes the stack
-in place.
+All checks share one stack of the rows the instance does not hold in
+closed form, in row order: an unusable row is reported, zeroed and masked,
+and the pair walk normalizes the stack in place.
 
 ``verify_support_solution`` checks the known optimum of the bounding system
 by brute-force vertex enumeration, deliberately an independent code path from
@@ -67,13 +67,16 @@ class ValidationReport:
 def validate_instance(inst: LPInstance) -> ValidationReport:
     """Check every promised property of inst; collect all violations.
 
-    Each row's own conditions are evaluated once over a stack of the rows,
-    with the row kernels a one-row check uses, so every verdict and every
-    measured value equals that of checking the rows one at a time.  The rows
-    x_j <= alpha and -x_j <= 0 that the instance holds in closed form are
-    not stacked: a row coef * e_j has sum of squares 1 and, alpha being
-    finite by then, product coef * h_0 with the center h, whose coordinates
-    are equal.  The violations come out in row order too: structural (with
+    A bounding block kept for another alpha is first rebuilt for the
+    validated one, so every row it holds in closed form is canonical, and a
+    bounding row mismatches exactly when it is an edit that differs from
+    the canonical row.  Each row's own conditions are evaluated once over a
+    stack of the rows not in closed form, with the row kernels a one-row
+    check uses, so every verdict and every measured value equals that of
+    checking the rows one at a time.  The rows x_j <= alpha and -x_j <= 0
+    held in closed form need no such check: alpha being finite and positive
+    by then, they have norm 1 and hold at the center (alpha/2, ...,
+    alpha/2).  The violations come out in row order too: structural (with
     the conditions of ``validate_params`` on the alpha and theta that a file
     stores), bounding rows and objective, non-finite rows, zero rows, then
     per row its center feasibility, distance band and objective
@@ -107,111 +110,96 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     if out:
         return ValidationReport(False, tuple(out))
 
-    for i in _mismatched_bounding_rows(block, p.alpha):
-        out.append(Violation(i, "bounding row mismatch", "row differs", "exact"))
+    if block.alpha != p.alpha:
+        # a block kept for another alpha (``with_params``, ``from_arrays``):
+        # rebuilt, every row it holds in closed form is canonical for p.alpha
+        block = BoundingBlock.from_rows(n, p.alpha, block.rows())
+    want = BoundingBlock.canonical(n, p.alpha)
+    for i in sorted(block.edits):
+        if block.edits[i] != want.row(i):
+            out.append(Violation(i, "bounding row mismatch", "row differs", "exact"))
     expected_c = build_objective(n, p.theta)
     if not np.array_equal(inst.c, expected_c):
         out.append(Violation(-1, "objective row mismatch", "row differs", "exact"))
 
     # The stack X holds every row not in closed form: the edited bounding
-    # rows, the diagonal, then the random rows; row i is X[pos[i]], and
-    # pos[i] is -1 for the rows of the axis families.
+    # rows, the diagonal, then the random rows from X[r] on; X[k] is
+    # constraint xi[k].
     first = 2 * n + 1
     head = sorted(block.edits.keys() | {2 * n})
+    r = len(head)
     xi = np.concatenate([head, np.arange(first, inst.m)]).astype(np.intp)
-    pos = np.full(inst.m, -1)
-    pos[xi] = np.arange(len(xi))
     X = np.empty((len(xi), n))
-    B = np.empty(inst.m)
+    B = np.empty(len(xi))
     for k, i in enumerate(head):
         q = block.edits.get(i)
         _, coef, rhs = block.spec(i)  # the diagonal: coef at every position
-        X[k], B[i] = (coef, rhs) if q is None else (q.a, q.b)
-    X[len(head):] = inst.random_a
-    B[first:] = inst.random_b
-    families = _axis_families(block)
-    sumsq = np.empty(inst.m)
-    sumsq[xi] = row_sumsq(X)
-    for rows, _, rhs in families:
-        sumsq[rows] = 1.0
-        B[rows] = rhs
+        X[k], B[k] = (coef, rhs) if q is None else (q.a, q.b)
+    X[r:] = inst.random_a
+    B[r:] = inst.random_b
+    sumsq = row_sumsq(X)
     norms = np.sqrt(sumsq)  # row_norms of each row
     # A nan or inf coefficient makes the norm non-finite, and so can a sum of
     # squares that overflows: recheck those rows coefficient by coefficient.
-    # A row of an axis family has coefficients 0 and +-1.
     finite = np.isfinite(norms) & np.isfinite(B)
-    for i in np.flatnonzero(~finite):
-        finite[i] = math.isfinite(B[i]) and (pos[i] < 0 or bool(np.isfinite(X[pos[i]]).all()))
-    for i in np.nonzero(~finite)[0]:
-        out.append(Violation(int(i), "finite coefficients", "nan or inf", "finite"))
-    for i in np.nonzero(finite & (norms == 0.0))[0]:
-        out.append(Violation(int(i), "nonzero coefficient norm", 0.0, "> 0"))
+    for k in np.flatnonzero(~finite):
+        finite[k] = math.isfinite(B[k]) and bool(np.isfinite(X[k]).all())
+    for i in xi[~finite].tolist():
+        out.append(Violation(i, "finite coefficients", "nan or inf", "finite"))
+    for i in xi[finite & (norms == 0.0)].tolist():
+        out.append(Violation(i, "nonzero coefficient norm", 0.0, "> 0"))
     usable = finite & (norms > 0.0)
     # an unusable row is zeroed, so none of its nan or inf reaches the
     # arithmetic below, and its results are masked
-    X[~usable[xi]] = 0.0
+    X[~usable] = 0.0
     B[~usable] = 0.0
 
     h = hypercube_center(n, p.alpha)
     f_h = objective_value(inst.c, h)
-    ah = np.empty(inst.m)
-    ah[xi] = row_dots(X, h)
-    for rows, coef, _ in families:
-        ah[rows] = coef * h[0]
-    # rows from `first` on are random rows, the last d rows of X: distance
-    # band and objective improvement apply to those only
+    ah = row_dots(X, h)
+    # distance band and objective improvement apply to the random rows,
+    # X[r:], only
     # a one-row check did this arithmetic on Python floats, which overflow,
     # and divide inf by inf, without a warning; a zeroed row divides 0 by 0
     with np.errstate(over="ignore", invalid="ignore"):
         feasible = _within(ah, B)
-        excess = ah[first:] - B[first:]
-        dist = np.abs(excess) / norms[first:]
+        excess = ah[r:] - B[r:]
+        dist = np.abs(excess) / norms[r:]
         above_rho = dist > p.rho
         below_theta = _within(dist, p.theta)
-        t = excess / sumsq[first:]
+        t = excess / sumsq[r:]
     # the projection of h onto each random row's hyperplane
-    f_proj = row_dots(h - t[:, None] * X[len(head):], inst.c)
+    f_proj = row_dots(h - t[:, None] * X[r:], inst.c)
     improves = f_proj > f_h
 
     flagged = ~feasible
-    flagged[first:] |= ~(above_rho & below_theta & improves)
-    for i in np.flatnonzero(flagged & usable).tolist():
-        if not feasible[i]:
-            out.append(Violation(i, "center feasibility a.h <= b", float(ah[i]), float(B[i])))
-        if i < first:
+    flagged[r:] |= ~(above_rho & below_theta & improves)
+    for k in np.flatnonzero(flagged & usable).tolist():
+        i = int(xi[k])
+        if not feasible[k]:
+            out.append(Violation(i, "center feasibility a.h <= b", float(ah[k]), float(B[k])))
+        if k < r:
             continue
-        r = i - first
-        if not above_rho[r]:
-            out.append(Violation(i, "distance > rho", float(dist[r]), p.rho))
-        if not below_theta[r]:
-            out.append(Violation(i, "distance <= theta", float(dist[r]), p.theta))
-        if not improves[r]:
+        k -= r
+        if not above_rho[k]:
+            out.append(Violation(i, "distance > rho", float(dist[k]), p.rho))
+        if not below_theta[k]:
+            out.append(Violation(i, "distance <= theta", float(dist[k]), p.theta))
+        if not improves[k]:
             out.append(
-                Violation(i, "objective improvement at projection", float(f_proj[r]), f_h)
+                Violation(i, "objective improvement at projection", float(f_proj[k]), f_h)
             )
 
     # unit rows and normalized offsets, in place: an unusable row stays zero
     norms[~usable] = 1.0
-    X /= norms[xi, None]
+    X /= norms[:, None]
     B /= norms
-    out.extend(
-        _pairwise_likeness_violations(inst, X, pos, B, usable, families, p.l_max, p.s_min)
-    )
+    units = X[usable]
+    stack = (units, row_sumsq(units) / 2.0, B[usable])
+    out.extend(_pairwise_likeness_violations(
+        inst, xi[usable], stack, _axis_families(block), p.l_max, p.s_min
+    ))
     return ValidationReport(not out, tuple(out))
-
-
-def _mismatched_bounding_rows(block: BoundingBlock, alpha: float) -> list[int]:
-    """The rows of block that differ from those of ``build_support(n, alpha)``."""
-    n = block.n
-    want = BoundingBlock.canonical(n, alpha)
-    bad = {i for i, q in block.edits.items() if q != want.row(i)}
-    # a row in closed form differs from the wanted one only if their
-    # right-hand sides do: alpha on rows 0..n-1, 0 on rows n..2n-1, and the
-    # diagonal's
-    for rows in (range(n), [2 * n]):
-        if not block.spec(rows[0])[2] == want.spec(rows[0])[2]:
-            bad.update(i for i in rows if i not in block.edits)
-    return sorted(bad)
 
 
 def _axis_families(block: BoundingBlock):
@@ -230,17 +218,17 @@ def _axis_families(block: BoundingBlock):
 _PAIR_BLOCK = 256
 
 
-def _pairwise_likeness_violations(inst, X, pos, beta, usable, families, l_max, s_min):
+def _pairwise_likeness_violations(inst, xi, stack, families, l_max, s_min):
     """All-pairs dissimilarity check of the usable rows, in row-major (i, j) order.
 
-    ``X`` holds unit rows, row i at ``pos[i]`` where that is not -1, each
-    row of ``families`` is coef * e_j, and ``beta`` holds the normalized
-    offset of every row.  The shortlist holds every pair within the
+    ``stack`` is (unit rows, halves, offsets) of the usable stacked rows,
+    its row k constraint ``xi[k]``, and each row of ``families`` is
+    coef * e_j with offset rhs.  The shortlist holds every pair within the
     direction and offset bounds, found by where its rows come from:
 
-    * two rows of X: ``near_pairs``, walked in blocks of ``_PAIR_BLOCK``
+    * two stacked rows: ``near_pairs``, walked in blocks of ``_PAIR_BLOCK``
       rows against the rows after the block's first;
-    * a row of X and a row of a family: ``axis_pairs``, the closed-form
+    * a stacked row and a row of a family: ``axis_pairs``, the closed-form
       shortlist the generator's ``BoundingScreen`` uses;
     * two rows of the families: +-e_j and +-e_k have dot product 0 or -1
       and halves 1/2, so no such pair is near unless
@@ -254,26 +242,20 @@ def _pairwise_likeness_violations(inst, X, pos, beta, usable, families, l_max, s
     is O(_PAIR_BLOCK * m), not O(m^2).
     """
     n = inst.n
-    xi = np.flatnonzero(pos >= 0)
-    ok = usable[xi]
-    xi = xi[ok]
-    units = X[ok]
-    stack = (units, row_sumsq(units) / 2.0, beta[xi])
     pairs = list(_stack_pairs(xi, stack, l_max, s_min))
-    fam = []
     for rows, coef, rhs in families:
-        rows = rows[usable[rows]]
-        fam.append(rows)
-        row_of = np.full(n, -1)  # the family's row of each column, if usable
+        row_of = np.full(n, -1)  # the family's row of each column, if in closed form
         row_of[rows % n] = rows
         x, j = axis_pairs(stack, coef, rhs, l_max, s_min)
         hit = row_of[j] >= 0
         x, f = xi[x[hit]], row_of[j[hit]]
         pairs.append((np.minimum(x, f), np.maximum(x, f)))
-    fam = np.concatenate(fam)  # in row order: the rows of +e_j come first
     if -0.5 > direction_cut(0.5, l_max):
+        # in row order: the rows of +e_j come first
+        fam = np.concatenate([rows for rows, _, _ in families])
+        offset = np.concatenate([np.full(len(rows), rhs) for rows, _, rhs in families])
         i, j = np.triu_indices(len(fam), 1)
-        near = np.abs(beta[fam[j]] - beta[fam[i]]) < s_min
+        near = np.abs(offset[j] - offset[i]) < s_min
         pairs.append((fam[i[near]], fam[j[near]]))
     ii, jj = (np.concatenate(x) for x in zip(*pairs))
     order = np.lexsort((jj, ii))

@@ -373,6 +373,25 @@ def test_write_instance_streams_chunks_equal_to_the_text():
     assert "".join(dest.writes) == text
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_writer_refuses_a_block_of_other_than_2n_plus_1_rows(tmp_path, extra):
+    inst, _ = generate_sequential(GeneratorParams(n=2, d=3, seed=0))
+    rows = inst.support + inst.random[:1] if extra > 0 else inst.support[:-1]
+    odd = LPInstance(n=2, support=rows, random=inst.random, c=inst.c, params=inst.params)
+    assert odd.bounding.count == 5 + extra
+    path = tmp_path / "inst.txt"
+    path.write_text("kept\n")
+    dest = RecordingFile()
+    for out in (path, tmp_path / "new.txt", dest):
+        with pytest.raises(ValueError, match="the text holds 2n\\+1 = 5"):
+            write_instance(odd, out)
+    assert path.read_text() == "kept\n"
+    assert not (tmp_path / "new.txt").exists()
+    assert dest.writes == []
+    with pytest.raises(ValueError, match="the text holds 2n\\+1 = 5"):
+        instance_to_text(odd)
+
+
 finite_bits = st.integers(0, 2**64 - 1).filter(
     lambda bits: math.isfinite(float(np.uint64(bits).view(np.float64)))
 )

@@ -585,6 +585,12 @@ def test_tampered_instances_report_the_same_from_tuples_arrays_and_text(row_cond
         assert alike_violations(validate_instance(bad)) == all_pairs_reference(bad)
         if all(np.isfinite(q.a).all() and math.isfinite(q.b) for q in bad.constraints):
             assert violation_list(validate_instance(read_back(bad))) == want
+        # a block kept for alpha 200 is rebuilt for the validated alpha; at
+        # alpha 500 the center lies outside x_j <= 200
+        for alpha in (400.0, 500.0):
+            q = replace(bad.params, alpha=alpha)
+            got = validate_instance(bad.with_params(q))
+            assert violation_list(got) == violation_list(validate_instance(replace(bad, params=q)))
 
 
 @pytest.mark.parametrize("k", [0, 5, 10, 12, 20, 30])
