@@ -23,11 +23,13 @@ def run_benchmark(
     """Median wall time of generate_parallel per worker count.
 
     The baseline is the median of the 1-worker runs when 1 is among the
-    counts, otherwise the first count's median.  The generated instances are
-    the deterministic outputs for (seed, workers), so callers can revalidate
-    any benchmark output by regenerating with the same parameters.  Every
-    count is checked before the first run: the first parameter set that
-    ``validate_params`` refuses raises ``ParameterError``.
+    counts, otherwise the first count's median.  One worker is the
+    sequential engine (stream 0), so a 1-worker baseline gives the speedup
+    over the sequential run; L >= 2 workers run streams 1..L.  The generated
+    instances are the deterministic outputs for (seed, workers), so callers
+    can revalidate any benchmark output by regenerating with the same
+    parameters.  Every count is checked before the first run: the first
+    parameter set that ``validate_params`` refuses raises ``ParameterError``.
     """
     counts = [int(x) for x in worker_counts]
     if not counts:

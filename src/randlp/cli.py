@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .bench import run_benchmark
-from .generator import GenerationStalledError, generate_parallel, generate_sequential
+from .generator import GenerationStalledError, generate_parallel
 from .io import ParseError, read_instance, write_instance, write_stats
 from .model import GeneratorParams, ParameterError, UnsupportedDimensionError, bound_violations
 from .svg import render_svg
@@ -59,9 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate one instance")
     _add_generator_args(gen)
-    gen.add_argument("--workers", type=int, default=1)
-    gen.add_argument("--engine", choices=("seq", "par"), default=None,
-                     help="force an engine; by default --workers > 1 selects par")
+    gen.add_argument("--workers", type=int, default=1,
+                     help="producer streams: 1 runs stream 0, L >= 2 runs streams 1..L")
     gen.add_argument("--out", help="instance file (stdout when omitted)")
     gen.add_argument("--stats-out", dest="stats_out", help="also write run counters here")
 
@@ -82,14 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    params = _params_from(args, workers=args.workers)
-    engine_name = args.engine or ("par" if args.workers > 1 else "seq")
-    if engine_name == "seq" and args.workers > 1:
-        print(f"parameter violation: --engine seq runs a single stream; drop "
-              f"--workers {args.workers} or use --engine par", file=sys.stderr)
-        return 2
-    engine = generate_parallel if engine_name == "par" else generate_sequential
-    instance, stats = engine(params)
+    instance, stats = generate_parallel(_params_from(args, workers=args.workers))
     write_instance(instance, args.out or sys.stdout)
     if args.stats_out:
         write_stats(stats, args.stats_out)

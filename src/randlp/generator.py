@@ -4,13 +4,13 @@ The public operations ``draw_candidate`` and ``filter_candidate`` define the
 reference semantics: one candidate at a time, four checks in a fixed order
 (center feasibility by sign flip at draw time, then distance band, objective
 improvement, dissimilarity).  Both engines run the master/worker round
-protocol in ``_generate``: the sequential engine is one producer on stream 0,
-the parallel engine one producer per worker on streams 1..L, stepped in
-worker order on the calling thread.  Each producer is one ``_Producer``: it
-draws candidates in blocks for speed, but consumes the random stream in the
-same word order and pushes every value through the same row kernels, so the
-accept/reject decisions, stats, and output instances match a one-at-a-time
-replay exactly.  A producer's three checks depend on the candidate alone, so
+protocol in ``_generate``, and the worker count alone picks the streams: one
+worker is the sequential engine, a producer on stream 0; L >= 2 workers are
+one producer each on streams 1..L, stepped in worker order on the calling
+thread.  Each producer is one ``_Producer``: it draws candidates in blocks
+for speed, but consumes the random stream in the same word order and pushes
+every value through the same row kernels, so the accept/reject decisions,
+stats, and output instances match a one-at-a-time replay exactly.  A producer's three checks depend on the candidate alone, so
 each runs once over a block: the distance band and objective improvement
 over all its candidates, then likeness to the bounding rows over the
 survivors of those two, with ``BoundingScreen.alike_rows``, which gives the
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import time
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -273,10 +272,12 @@ class _Producer:
 _BATCH = 64
 
 
-def _generate(
-    params: GeneratorParams, stream_ids: Sequence[int]
-) -> tuple[LPInstance, GenerationStats]:
-    """Run the round protocol with one producer per stream id.
+def _generate(params: GeneratorParams, workers: int) -> tuple[LPInstance, GenerationStats]:
+    """Run the round protocol with ``workers`` producers.
+
+    One worker draws from stream 0 and is the sequential engine: it reports
+    no rounds, no coordinator share and no discarded surplus.  L >= 2
+    workers draw from streams 1..L.
 
     Each round steps the producers in stream order on the calling thread.  A
     producer walks its stream to the next survivor of the distance,
@@ -301,8 +302,7 @@ def _generate(
 
     One budget covers all producers: max_attempts examined draws in a row,
     in the order the producers are stepped, without an acceptance stall the
-    run, with the counters cut at that draw.  Stream 0 is the sequential
-    engine's, which reports no rounds and no coordinator share.
+    run, with the counters cut at that draw.
     """
     _require_valid(params)
     t0 = time.perf_counter()
@@ -314,11 +314,11 @@ def _generate(
     h = hypercube_center(n, params.alpha)
     screen = BoundingScreen(n, params.alpha, params.l_max, params.s_min)
     index = SimilarityIndex(n, params.l_max, params.s_min)
+    sequential = workers == 1
     producers = [
-        _Producer(derive_stream(params.seed, s), params, h, c, screen) for s in stream_ids
+        _Producer(derive_stream(params.seed, s), params, h, c, screen)
+        for s in ((0,) if sequential else range(1, workers + 1))
     ]
-    workers = len(producers)
-    sequential = list(stream_ids) == [0]
     # The accepted rows, one stack per batch, so nothing is sized by d
     # before a row is accepted; the instance gets them as one array.
     kept: list[tuple[np.ndarray, np.ndarray]] = []
@@ -419,17 +419,18 @@ def generate_sequential(params: GeneratorParams) -> tuple[LPInstance, Generation
     unusable parameter set and GenerationStalledError when max_attempts
     consecutive candidates fail, naming the dominating rejection reason.
     """
-    return _generate(params, (0,))
+    return _generate(params, 1)
 
 
 def generate_parallel(params: GeneratorParams) -> tuple[LPInstance, GenerationStats]:
     """Generate one instance with ``params.workers`` producer streams.
 
-    Round protocol: worker l draws from stream l and submits one pre-filtered
-    candidate per round; the coordinator examines submissions in worker
-    order, rejects those alike to an already accepted random inequality, and
-    stops at d acceptances, discarding the surplus of the final round.  The
-    producers are stepped in worker order on the calling thread, so output
-    depends only on (seed, workers).
+    One worker is ``generate_sequential``: stream 0, the same instance and
+    counters.  With L >= 2, round protocol: worker l draws from stream l and
+    submits one pre-filtered candidate per round; the coordinator examines
+    submissions in worker order, rejects those alike to an already accepted
+    random inequality, and stops at d acceptances, discarding the surplus of
+    the final round.  The producers are stepped in worker order on the
+    calling thread, so output depends only on (seed, workers).
     """
-    return _generate(params, range(1, params.workers + 1))
+    return _generate(params, params.workers)

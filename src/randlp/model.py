@@ -364,12 +364,14 @@ class GenerationStats:
 
     rejected_similarity covers both sides of the protocol (producer checks
     against the bounding rows, coordinator checks against the accepted random
-    rows).  For the parallel engine, whose producers are stepped in worker
+    rows).  One worker is the sequential engine (stream 0), which reports
+    coordinator_rejected_similarity, discarded_surplus and rounds as 0.  For
+    L >= 2 workers (streams 1..L), whose producers are stepped in worker
     order on the calling thread, coordinator_rejected_similarity is the
-    coordinator-side share of it; the sequential engine reports it as 0.
-    Once the target d is reached mid-round, the producers not yet stepped in
-    that round draw nothing: each counts as one discarded submission in
-    discarded_surplus, and
+    coordinator-side share of rejected_similarity.  Once the target d is
+    reached mid-round, the producers not yet stepped in that round draw
+    nothing: each counts as one discarded submission in discarded_surplus,
+    and
 
         rounds * workers = accepted + coordinator_rejected_similarity
                          + discarded_surplus

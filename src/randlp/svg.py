@@ -12,11 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import row_norms
+from .io import _fmt
 from .model import LPInstance, UnsupportedDimensionError
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _clip_line(a, bval: float, lo: float, hi: float):

@@ -173,7 +173,7 @@ def test_criterion_06_cli_determinism(tmp_path):
         6, "gen twice with one flag set is byte-identical; new seed, new file"
     ) as note:
         t0 = time.perf_counter()
-        args = ["gen", "--n", "10", "--d", "20", "--workers", "4", "--engine", "par"]
+        args = ["gen", "--n", "10", "--d", "20", "--workers", "4"]
         a, b, c = (tmp_path / name for name in ("a.txt", "b.txt", "c.txt"))
         assert run_cli(args + ["--seed", "42", "--out", str(a)]) == 0
         assert run_cli(args + ["--seed", "42", "--out", str(b)]) == 0

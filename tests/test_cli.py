@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from randlp import (
     GeneratorParams,
     generate_parallel,
+    generate_sequential,
+    instance_to_text,
     read_instance,
     run_cli,
     validate_params,
@@ -44,7 +47,7 @@ def test_gen_byte_deterministic(tmp_path):
     b = tmp_path / "b.txt"
     c = tmp_path / "c.txt"
     args = ["gen", "--n", "10", "--d", "20", "--seed", "42",
-            "--workers", "4", "--engine", "par"]
+            "--workers", "4"]
     assert run_cli(args + ["--out", str(a)]) == 0
     assert run_cli(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -56,7 +59,7 @@ def test_gen_byte_deterministic(tmp_path):
 def test_gen_parallel_engine_matches_library(tmp_path):
     out = tmp_path / "inst.txt"
     rc = run_cli(["gen", "--n", "2", "--d", "5", "--seed", "42",
-                  "--workers", "3", "--engine", "par", "--out", str(out)])
+                  "--workers", "3", "--out", str(out)])
     assert rc == 0
     lib, _ = generate_parallel(GeneratorParams(n=2, d=5, seed=42, workers=3))
     assert read_instance(out) == lib
@@ -72,13 +75,22 @@ def test_gen_workers_implies_parallel_engine(tmp_path):
     assert read_instance(out) == lib
 
 
-def test_gen_engine_seq_with_workers_is_contradictory(capsys, tmp_path):
+@pytest.mark.parametrize("n, d, seed", [(2, 5, 42), (3, 6, 0), (10, 20, 42), (20, 40, 7)])
+def test_one_worker_is_the_sequential_engine(capsys, tmp_path, n, d, seed):
+    params = GeneratorParams(n=n, d=d, seed=seed)
+    seq, seq_stats = generate_sequential(params)
+    par, par_stats = generate_parallel(replace(params, workers=1))
+    assert instance_to_text(par) == instance_to_text(seq)
+    assert replace(par_stats, wall_time_ms=0.0) == replace(seq_stats, wall_time_ms=0.0)
     out = tmp_path / "inst.txt"
-    rc = run_cli(["gen", "--n", "2", "--d", "5", "--seed", "42",
-                  "--workers", "4", "--engine", "seq", "--out", str(out)])
-    assert rc == 2
-    assert "parameter violation" in capsys.readouterr().err
-    assert not out.exists()
+    args = ["gen", "--n", str(n), "--d", str(d), "--seed", str(seed), "--workers", "1"]
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == instance_to_text(seq).encode()
+    # the worker count is the only engine switch
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--engine", "par"])
+    assert exc.value.code == 2
+    assert "--engine" in capsys.readouterr().err
 
 
 def test_gen_stats_out(tmp_path):

@@ -216,3 +216,15 @@ def test_random_rows_must_have_n_coefficients():
     with pytest.raises(ValueError, match="random rows of 3 coefficients"):
         LPInstance(n=3, support=build_support(3, 200.0), random=(Inequality([1.0, 2.0], 5.0),),
                    c=build_objective(3, 100.0), params=GeneratorParams(n=3))
+
+
+def test_inequality_needs_a_1d_row():
+    with pytest.raises(ValueError, match="expected a 1-D coefficient vector"):
+        Inequality(np.ones((2, 2)), 5.0)
+
+
+def test_from_arrays_needs_one_rhs_per_random_row():
+    inst, _ = generate_sequential(GeneratorParams(n=3, d=4, seed=1))
+    with pytest.raises(ValueError, match="expected one right-hand side per random row"):
+        LPInstance.from_arrays(inst.n, inst.bounding, inst.random_a, inst.random_b[:-1],
+                               inst.c, inst.params)

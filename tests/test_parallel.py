@@ -65,7 +65,7 @@ def test_parallel_output_validates():
     assert report.ok, report.violations
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4, 7])
+@pytest.mark.parametrize("workers", [2, 4, 7])
 def test_parallel_stats_identities(workers):
     params = make_params(seed=7, workers=workers)
     inst, stats = generate_parallel(params)

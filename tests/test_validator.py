@@ -128,6 +128,36 @@ def test_wrong_support_count_is_structural(demo_instance):
     assert "support row count" in conditions(report)
 
 
+def test_zero_variables_is_structural():
+    inst = LPInstance.from_arrays(0, BoundingBlock.canonical(0, 200.0), np.empty((0, 0)),
+                                  np.empty(0), np.empty(0), GeneratorParams(n=0))
+    report = validate_instance(inst)
+    assert not report.ok
+    assert [(v.constraint, v.condition, v.measured, v.bound)
+            for v in report.violations] == [(-1, "n >= 1", 0, 1)]
+
+
+def test_short_objective_is_structural(demo_instance):
+    inst = demo_instance
+    bad = LPInstance.from_arrays(inst.n, inst.bounding, inst.random_a, inst.random_b,
+                                 inst.c[:-1], inst.params)
+    report = validate_instance(bad)
+    assert [(v.constraint, v.condition, v.measured, v.bound)
+            for v in report.violations] == [(-1, "objective length", 1, 2)]
+
+
+def test_short_bounding_row_is_structural(demo_instance):
+    rows = list(demo_instance.support)
+    rows[3] = Inequality(rows[3].a[:-1], rows[3].b)
+    bad = replace(demo_instance, support=tuple(rows))
+    report = validate_instance(bad)
+    assert [(v.constraint, v.condition, v.measured, v.bound)
+            for v in report.violations] == [(3, "coefficient row length", 1, 2)]
+    assert str(report.violations[0]) == (
+        "constraint 3: coefficient row length (measured 1, bound 2)"
+    )
+
+
 @pytest.mark.parametrize("alpha, theta, want", [
     (200.0, 150.0, [("theta <= alpha/2", 150.0, 100.0)]),
     (0.0, 100.0, [("alpha > 0", 0.0, 0.0), ("theta <= alpha/2", 100.0, 0.0)]),
