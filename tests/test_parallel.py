@@ -1,17 +1,28 @@
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from randlp import (
+    CandidateVerdict,
     GenerationStalledError,
+    GenerationStats,
     GeneratorParams,
+    LPInstance,
+    build_objective,
+    build_support,
+    derive_stream,
+    draw_candidate,
+    filter_candidate,
     generate_parallel,
     generate_sequential,
+    hypercube_center,
     instance_to_text,
     validate_instance,
 )
+from randlp.generator import _Producer
 
 from conftest import make_params
 
@@ -32,14 +43,6 @@ def test_parallel_output_depends_on_worker_count():
     a, _ = generate_parallel(make_params(workers=2))
     b, _ = generate_parallel(make_params(workers=3))
     assert a != b
-
-
-def test_parallel_one_worker_repeatable():
-    # seed 7: its single-worker stream fills d=5 well inside the draw budget
-    params = make_params(seed=7, workers=1)
-    a, _ = generate_parallel(params)
-    b, _ = generate_parallel(params)
-    assert a == b
 
 
 def test_parallel_support_only_runs_no_rounds():
@@ -109,16 +112,6 @@ def test_parallel_worker_stall_propagates():
     assert 0 <= accepted < params.d + params.workers
 
 
-def test_parallel_single_worker_matches_own_replay():
-    # L=1 must stay deterministic and satisfy all identities on a heavier run
-    params = GeneratorParams(n=3, d=8, seed=11, workers=1, b_max=100000.0)
-    a, sa = generate_parallel(params)
-    b, sb = generate_parallel(params)
-    assert a == b
-    assert sa.candidates_drawn == sb.candidates_drawn
-    assert validate_instance(a).ok
-
-
 def test_parallel_stall_budget_counts_draws_over_all_workers():
     # worker 1's stream opens with 50 straight rejections; one budget covers
     # every worker, so the run stops at that 50th draw
@@ -184,3 +177,107 @@ def test_parallel_stops_stepping_producers_once_d_rows_are_accepted():
     )
     assert stats.rounds * params.workers == 1 + stats.coordinator_rejected_similarity + stats.discarded_surplus
     assert validate_instance(inst).ok
+
+
+def round_replay(params):
+    """The round protocol of L >= 2 workers, one candidate at a time, from
+    the public operations only: the instance text, or the stall message,
+    and the stats without wall_time_ms.
+
+    Each round steps workers 1..L in order.  A worker draws from its stream
+    until a candidate passes ``filter_candidate`` against the bounding rows;
+    the coordinator then judges it with ``filter_candidate`` against the
+    accepted rows.  One budget of max_attempts draws since the last
+    acceptance covers every worker in stepping order; once d rows are
+    accepted, the workers not yet stepped in that round are the surplus.
+    """
+    n, L, budget = params.n, params.workers, params.max_attempts
+    support = build_support(n, params.alpha)
+    c = build_objective(n, params.theta)
+    h = hypercube_center(n, params.alpha)
+    streams = [derive_stream(params.seed, l) for l in range(1, L + 1)]
+    accepted = []
+    fates = dict.fromkeys(CandidateVerdict, 0)  # the workers' rejections
+    coord_rej = steps = attempts = 0
+
+    def outcome(done):
+        stats = GenerationStats(
+            candidates_drawn=sum(fates.values()) + coord_rej + len(accepted),
+            rejected_distance=fates[CandidateVerdict.REJECTED_DISTANCE],
+            rejected_objective=fates[CandidateVerdict.REJECTED_OBJECTIVE],
+            rejected_similarity=fates[CandidateVerdict.REJECTED_SIMILARITY] + coord_rej,
+            coordinator_rejected_similarity=coord_rej,
+            discarded_surplus=-steps % L if done else 0,
+            rounds=-(-steps // L),
+        )
+        if done:
+            inst = LPInstance(n=n, support=support, random=accepted, c=c, params=params)
+            return instance_to_text(inst), stats
+        counts = {"rejected_distance": stats.rejected_distance,
+                  "rejected_objective": stats.rejected_objective,
+                  "rejected_similarity": stats.rejected_similarity}
+        reason = max(counts, key=counts.get)
+        return (f"no acceptance within {budget} consecutive draws "
+                f"(dominating reason: {reason})"), stats
+
+    while len(accepted) < params.d:
+        stream = streams[steps % L]
+        steps += 1
+        while True:
+            if attempts == budget:
+                return outcome(False)
+            q = draw_candidate(stream, params, h)
+            attempts += 1
+            verdict = filter_candidate(q, params, h, c, support)
+            if verdict is CandidateVerdict.ACCEPTED:
+                break
+            fates[verdict] += 1
+        if filter_candidate(q, params, h, c, accepted) is CandidateVerdict.ACCEPTED:
+            accepted.append(q)
+            attempts = 0
+        else:
+            coord_rej += 1
+            if attempts == budget:
+                return outcome(False)
+    return outcome(True)
+
+
+@pytest.mark.parametrize("params", [
+    # the two stalls above: at a worker's rejection, at a coordinator's
+    make_params(workers=4, max_attempts=50),
+    make_params(workers=4, max_attempts=20, b_max=1.0, rho=1.0),
+    # the same coordinator stall on the last submission of a round
+    make_params(workers=3, max_attempts=20, b_max=1.0, rho=1.0),
+    # seven surplus workers in the one round
+    GeneratorParams(n=2, d=1, seed=1, workers=8, max_attempts=100),
+    # more workers than the coordinator judges in one batch, with full
+    # batches of 64: complete with coordinator rejections and surplus, and
+    # a stall in the fifth round
+    GeneratorParams(n=10, d=300, seed=3, workers=70, rho=1.0, b_max=1000.0),
+    GeneratorParams(n=10, d=300, seed=3, workers=70, rho=1.0, b_max=1000.0, l_max=0.7,
+                    max_attempts=150),
+])
+def test_parallel_matches_round_level_replay(params):
+    try:
+        inst, stats = generate_parallel(params)
+        got = instance_to_text(inst)
+    except GenerationStalledError as exc:
+        got, stats = str(exc), exc.stats
+    assert (got, replace(stats, wall_time_ms=0.0)) == round_replay(params)
+
+
+def test_a_batch_looks_at_no_more_producers_than_it_can_hold(monkeypatch):
+    # a batch holds at most 64 submissions, so only the next 64 producers
+    # can bound it: the cost of a batch must not grow with L
+    calls = []
+    pending = _Producer.pending
+
+    def counted(self):
+        calls.append(None)
+        return pending(self)
+
+    monkeypatch.setattr(_Producer, "pending", counted)
+    params = GeneratorParams(n=10, d=1000, seed=0, workers=1000)
+    inst, _ = generate_parallel(params)
+    assert inst.d == 1000
+    assert len(calls) < 100 * params.workers

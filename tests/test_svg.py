@@ -1,10 +1,12 @@
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from randlp import (
     GeneratorParams,
+    Inequality,
     UnsupportedDimensionError,
     generate_sequential,
     render_svg,
@@ -99,6 +101,17 @@ def test_support_only_polygon_has_five_corners():
     expect = {(0.0, 0.0), (200.0, 0.0), (200.0, 100.0), (100.0, 200.0), (0.0, 200.0)}
     got = {(round(x, 6), round(y, 6)) for x, y in pts}
     assert got == expect
+
+
+def test_a_row_outside_the_view_leaves_no_line_and_no_region():
+    # x + y <= -1000 crosses no edge of the [-30, 230] view, and with
+    # x, y >= 0 it leaves the region empty
+    inst, _ = generate_sequential(GeneratorParams(n=2, d=0, seed=0))
+    far = replace(inst, random=(Inequality([1.0, 1.0], -1000.0),))
+    svg = render_svg(far)
+    assert lines_with_class(svg, "random") == []
+    assert len(lines_with_class(svg, "support")) == 5
+    assert elements(svg, "polygon") == []
 
 
 def test_render_is_deterministic():

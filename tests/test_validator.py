@@ -120,42 +120,33 @@ def test_zero_norm_row_flagged(demo_instance):
     assert "nonzero coefficient norm" in conditions(report)
 
 
+# An instance of any of the shapes below is refused when it would be built,
+# so the validator never meets one.
+
+
 def test_wrong_support_count_is_structural(demo_instance):
-    bad = replace(demo_instance, support=demo_instance.support[:-1])
-    report = validate_instance(bad)
-    assert not report.ok
-    assert any(v.constraint == -1 for v in report.violations)
-    assert "support row count" in conditions(report)
+    with pytest.raises(ValueError, match="expected 2n\\+1 = 5 bounding rows, got 4"):
+        replace(demo_instance, support=demo_instance.support[:-1])
 
 
 def test_zero_variables_is_structural():
-    inst = LPInstance.from_arrays(0, BoundingBlock.canonical(0, 200.0), np.empty((0, 0)),
-                                  np.empty(0), np.empty(0), GeneratorParams(n=0))
-    report = validate_instance(inst)
-    assert not report.ok
-    assert [(v.constraint, v.condition, v.measured, v.bound)
-            for v in report.violations] == [(-1, "n >= 1", 0, 1)]
+    with pytest.raises(ValueError, match="expected n >= 1, got 0"):
+        LPInstance.from_arrays(0, BoundingBlock.canonical(0, 200.0), np.empty((0, 0)),
+                               np.empty(0), np.empty(0), GeneratorParams(n=0))
 
 
 def test_short_objective_is_structural(demo_instance):
     inst = demo_instance
-    bad = LPInstance.from_arrays(inst.n, inst.bounding, inst.random_a, inst.random_b,
-                                 inst.c[:-1], inst.params)
-    report = validate_instance(bad)
-    assert [(v.constraint, v.condition, v.measured, v.bound)
-            for v in report.violations] == [(-1, "objective length", 1, 2)]
+    with pytest.raises(ValueError, match="an objective of 2 coefficients, got 1"):
+        LPInstance.from_arrays(inst.n, inst.bounding, inst.random_a, inst.random_b,
+                               inst.c[:-1], inst.params)
 
 
 def test_short_bounding_row_is_structural(demo_instance):
     rows = list(demo_instance.support)
     rows[3] = Inequality(rows[3].a[:-1], rows[3].b)
-    bad = replace(demo_instance, support=tuple(rows))
-    report = validate_instance(bad)
-    assert [(v.constraint, v.condition, v.measured, v.bound)
-            for v in report.violations] == [(3, "coefficient row length", 1, 2)]
-    assert str(report.violations[0]) == (
-        "constraint 3: coefficient row length (measured 1, bound 2)"
-    )
+    with pytest.raises(ValueError, match="bounding row 3: expected 2 coefficients, got 1"):
+        replace(demo_instance, support=tuple(rows))
 
 
 @pytest.mark.parametrize("alpha, theta, want", [
@@ -615,22 +606,35 @@ def test_tampered_instances_report_the_same_from_tuples_arrays_and_text(row_cond
         assert alike_violations(validate_instance(bad)) == all_pairs_reference(bad)
         if all(np.isfinite(q.a).all() and math.isfinite(q.b) for q in bad.constraints):
             assert violation_list(validate_instance(read_back(bad))) == want
-        # a block kept for alpha 200 is rebuilt for the validated alpha; at
-        # alpha 500 the center lies outside x_j <= 200
+        # under another alpha the rows are read as given, and at alpha 500
+        # the center lies outside x_j <= 200; with_params keeps the block's
+        # alpha, so it refuses another
         for alpha in (400.0, 500.0):
             q = replace(bad.params, alpha=alpha)
-            got = validate_instance(bad.with_params(q))
-            assert violation_list(got) == violation_list(validate_instance(replace(bad, params=q)))
+            with pytest.raises(ValueError, match="not params.alpha"):
+                bad.with_params(q)
+            moved = replace(bad, params=q)
+            got = validate_instance(from_arrays(moved, len(moved.support)))
+            assert violation_list(got) == violation_list(validate_instance(moved))
 
 
-@pytest.mark.parametrize("k", [0, 5, 10, 12, 20, 30])
+@pytest.mark.parametrize("k", [0, 5, 10, 11, 12, 20, 30])
 def test_any_split_reports_the_same_from_tuples_and_arrays(row_condition_instance, k):
+    # only the split at 2n+1 = 11 builds; every other is refused by both
+    # constructors
     inst = row_condition_instance
     rows = inst.constraints
+    if k != 2 * inst.n + 1:
+        with pytest.raises(ValueError, match=f"expected 2n\\+1 = 11 bounding rows, got {k}"):
+            replace(inst, support=rows[:k], random=rows[k:])
+        with pytest.raises(ValueError, match=f"expected 2n\\+1 = 11 bounding rows, got {k}"):
+            from_arrays(inst, k)
+        return
     split = replace(inst, support=rows[:k], random=rows[k:])
     report = validate_instance(split)
+    assert report.ok
+    assert split == inst == from_arrays(inst, k)
     assert violation_list(validate_instance(from_arrays(inst, k))) == violation_list(report)
-    assert report.violations[0].condition == "support row count"
 
 
 def test_n1_file_reports_the_diagonal_alike_with_the_first_row():
