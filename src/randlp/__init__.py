@@ -38,10 +38,12 @@ from .model import (
     LPInstance,
     ParameterError,
     UnsupportedDimensionError,
+    build_objective,
+    build_support,
+    support_only_solution,
     validate_params,
 )
 from .rng import RngStream, derive_stream
-from .support import build_objective, build_support, support_only_solution
 from .svg import render_svg
 from .validator import (
     ValidationReport,

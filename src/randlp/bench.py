@@ -5,7 +5,7 @@ import statistics
 from dataclasses import dataclass, replace
 
 from .generator import generate_parallel
-from .model import GeneratorParams, ParameterError, validate_params
+from .model import GeneratorParams, refuse, validate_params
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,7 @@ def run_benchmark(
         raise ValueError("repetitions must be >= 1")
     runs = [replace(params, workers=count) for count in counts]
     for p in runs:
-        violations = validate_params(p)
-        if violations:
-            raise ParameterError(violations)
+        refuse(validate_params(p))
     medians: dict[int, float] = {}
     for count, p in zip(counts, runs):
         samples = []

@@ -9,7 +9,7 @@ from pathlib import Path
 from .bench import run_benchmark
 from .generator import GenerationStalledError, generate_parallel
 from .io import ParseError, read_instance, write_instance, write_stats
-from .model import GeneratorParams, ParameterError, UnsupportedDimensionError, bound_violations
+from .model import GeneratorParams, ParameterError, UnsupportedDimensionError, refuse
 from .svg import render_svg
 from .validator import validate_instance
 
@@ -91,9 +91,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     inst = read_instance(args.infile)
     params = dataclasses.replace(inst.params, rho=args.rho, l_max=args.l_max, s_min=args.s_min)
-    violations = bound_violations(params)
-    if violations:
-        raise ParameterError(violations)
     report = validate_instance(inst.with_params(params))
     if report.ok:
         print("ok")
@@ -124,8 +121,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         violations.append(f"--workers-list is one or more integers, got {args.workers_list!r}")
     if args.reps < 1:
         violations.append("--reps >= 1")
-    if violations:
-        raise ParameterError(violations)
+    refuse(violations)
     results = run_benchmark(params, counts, repetitions=args.reps)
     for i, r in enumerate(results):
         if i:

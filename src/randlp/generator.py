@@ -10,10 +10,11 @@ one producer each on streams 1..L, stepped in worker order on the calling
 thread.  Each producer is one ``_Producer``: it draws candidates in blocks
 for speed, but consumes the random stream in the same word order and pushes
 every value through the same row kernels, so the accept/reject decisions,
-stats, and output instances match a one-at-a-time replay exactly.  A producer's three checks depend on the candidate alone, so
-each runs once over a block: the distance band and objective improvement
-over all its candidates, then likeness to the bounding rows over the
-survivors of those two, with ``BoundingScreen.alike_rows``, which gives the
+stats, and output instances match a one-at-a-time replay exactly.  A
+producer's three checks depend on the candidate alone, so each runs once
+over a block: the distance band and objective improvement over all its
+candidates, then likeness to the bounding rows over the survivors of those
+two, with ``BoundingScreen.alike_rows``, which gives the
 verdict of a dense index of the bounding rows without storing them.  A block
 is then only its rows ``a`` and ``b`` and one fate code per candidate; the
 producer hands out its survivors in stream order and tallies the fates of the
@@ -45,11 +46,12 @@ from .model import (
     GeneratorParams,
     Inequality,
     LPInstance,
-    ParameterError,
+    build_objective,
+    build_support,
+    refuse,
     validate_params,
 )
 from .rng import RngStream, derive_stream, scale_units, words_to_signs, words_to_units
-from .support import build_objective, build_support
 
 
 class CandidateVerdict(enum.Enum):
@@ -67,36 +69,24 @@ class GenerationStalledError(RuntimeError):
         self.stats = stats
 
 
-def _require_valid(params: GeneratorParams) -> None:
-    violations = validate_params(params)
-    if violations:
-        raise ParameterError(violations)
-
-
 def draw_candidate(stream: RngStream, params: GeneratorParams, h: np.ndarray) -> Inequality:
     """Draw one random inequality, already flipped to keep h feasible.
 
-    Consumes n+1 sign words then n+1 magnitude words per candidate, in one
-    ``raw_words`` call; a stream without ``raw_words`` is read through its
-    ``next_signs`` / ``next_reals`` / ``next_real`` draws in the same order.
-    An all-zero coefficient row is redrawn internally and never surfaces;
-    params that ``validate_params`` refuses raise ``ParameterError`` first,
-    so an ``a_max`` whose square is 0 cannot redraw forever.
+    Reads 2n+2 words per candidate in one ``raw_words`` call: n+1 signs,
+    then n+1 magnitudes, through ``words_to_signs``, ``words_to_units`` and
+    ``scale_units``.  An all-zero coefficient row is redrawn internally and
+    never surfaces; params that ``validate_params`` refuses raise
+    ``ParameterError`` first, so an ``a_max`` whose square is 0 cannot
+    redraw forever.
     """
-    _require_valid(params)
+    refuse(validate_params(params))
     n = params.n
-    raw_words = getattr(stream, "raw_words", None)
     while True:
-        if raw_words is None:
-            signs = stream.next_signs(n + 1)
-            a = signs[:n] * stream.next_reals(0.0, params.a_max, n)
-            b = float(signs[n] * stream.next_real(0.0, params.b_max))
-        else:
-            words = raw_words(2 * n + 2)
-            signs = words_to_signs(words[: n + 1])
-            units = words_to_units(words[n + 1 :])
-            a = signs[:n] * scale_units(units[:n], 0.0, params.a_max)
-            b = float(signs[n] * scale_units(units[n], 0.0, params.b_max))
+        words = stream.raw_words(2 * n + 2)
+        signs = words_to_signs(words[: n + 1])
+        units = words_to_units(words[n + 1 :])
+        a = signs[:n] * scale_units(units[:n], 0.0, params.a_max)
+        b = float(signs[n] * scale_units(units[n], 0.0, params.b_max))
         if float(row_sumsq(a)) == 0.0:
             continue
         if float(row_dots(a, h)) > b:
@@ -305,7 +295,7 @@ def _generate(params: GeneratorParams, workers: int) -> tuple[LPInstance, Genera
     in the order the producers are stepped, without an acceptance stall the
     run, with the counters cut at that draw.
     """
-    _require_valid(params)
+    refuse(validate_params(params))
     t0 = time.perf_counter()
     n, d, budget = params.n, params.d, params.max_attempts
     # The instance keeps its bounding rows in closed form; the rows built

@@ -11,13 +11,13 @@ Bounding rows come first in canonical order, then the accepted random rows in
 acceptance order.  The header is redundant on purpose: m must equal 2n+1+d.
 
 Bounding rows are mostly zeros, so both directions use a template: the text
-of each canonical row of ``build_support(n, alpha)``, built one row at a time
-from ``support_layout`` with ``_fmt(alpha)`` and ``_fmt((n-1)*alpha +
+of each canonical row, built one row at a time from ``BoundingBlock.spec``
+of the canonical block with ``_fmt(alpha)`` and ``_fmt((n-1)*alpha +
 alpha/2)``.  The writer emits the template for each row the instance's
-``BoundingBlock`` holds in closed form, and formats each of its edited rows
-(say one holding -0.0 or nan) with one ``%`` over all its numbers; the random
-rows are formatted from their array with one ``%`` per row.  Either way the
-bytes are exactly those of formatting every token on its own.  The writer
+``BoundingBlock`` holds in closed form.  Every other constraint row, an
+edited bounding row (say one holding -0.0 or nan) or a random row, is
+formatted with one row format, one ``%`` over its n+1 numbers.  Either way
+the bytes are exactly those of formatting every token on its own.  The writer
 hands the text out line by line, so a file is written without the whole text
 in memory; the file object buffers it.  An instance holds exactly its 2n+1
 bounding rows under its own alpha (its constructors refuse any other), so
@@ -47,7 +47,6 @@ from .model import (
     Inequality,
     LPInstance,
     diagonal_rhs,
-    support_layout,
 )
 
 
@@ -65,17 +64,12 @@ def _text(values: list[float]) -> str:
     return " ".join(["%.17g"] * len(values)) % tuple(values)
 
 
-def _row_text(q: Inequality) -> str:
-    # tolist() gives the same binary64 values as Python floats, without a
-    # float() call per number
-    return _text(q.a.tolist() + [q.b])
-
-
 def _templates(n: int, alpha: float):
-    """What ``_row_text`` gives for each row of ``support_layout(n, alpha)``,
-    in order, built without formatting every zero."""
+    """The text of each canonical bounding row under alpha, in order, built
+    without formatting every zero."""
     zeros = "0 " * n
-    for j, coef, rhs in support_layout(n, alpha):
+    block = BoundingBlock.canonical(n, alpha)
+    for j, coef, rhs in map(block.spec, range(2 * n + 1)):
         tok = _fmt(coef) + " "
         if j is None:
             yield tok * n + _fmt(rhs)
@@ -87,11 +81,13 @@ def _lines(inst: LPInstance):
     """The lines of the text of inst, each with its newline."""
     n = inst.n
     block = inst.bounding
+    row_format = " ".join(["%.17g"] * (n + 1)) + "\n"
     yield f"{n} {inst.m} {inst.d} {inst.params.seed}\n"
+    # tolist() gives the same binary64 values as Python floats, without a
+    # float() call per number
     for i, template in enumerate(_templates(n, block.alpha)):
         q = block.edits.get(i)
-        yield (template if q is None else _row_text(q)) + "\n"
-    row_format = " ".join(["%.17g"] * (n + 1)) + "\n"
+        yield template + "\n" if q is None else row_format % (*q.a.tolist(), q.b)
     for a, b in zip(inst.random_a, inst.random_b.tolist()):
         yield row_format % (*a.tolist(), b)
     yield _text(inst.c.tolist()) + "\n"

@@ -1,4 +1,11 @@
-"""Parameter set, constraint/instance containers, and parameter validation."""
+"""Parameter set, constraint/instance containers, and parameter validation.
+
+The bounding system lives here too, in closed form: ``BoundingBlock.spec``
+gives each of its 2n+1 rows as (j, coef, rhs) and ``BoundingBlock.row``
+builds a row from that, so ``build_support`` is the canonical block's rows.
+``build_objective`` and ``support_only_solution`` give the objective and the
+known optimum of the bounding system alone.
+"""
 from __future__ import annotations
 
 import math
@@ -13,6 +20,12 @@ class ParameterError(ValueError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+def refuse(violations: list[str]) -> None:
+    """Raise ``ParameterError`` with ``violations``, if there are any."""
+    if violations:
+        raise ParameterError(violations)
 
 
 class UnsupportedDimensionError(ValueError):
@@ -59,6 +72,41 @@ def _positive_finite(p: GeneratorParams, names) -> list[str]:
 def diagonal_rhs(n: int, alpha: float) -> float:
     """Right-hand side of the diagonal bounding row: (n-1)*alpha + alpha/2."""
     return (n - 1) * alpha + alpha / 2
+
+
+def build_support(n: int, alpha: float) -> list[Inequality]:
+    """The 2n+1 bounding inequalities, in canonical order.
+
+    Rows 0..n-1:    x_j <= alpha
+    Rows n..2n-1:  -x_j <= 0
+    Row 2n:         sum_j x_j <= (n-1)*alpha + alpha/2
+
+    The last row cuts the corner of the hypercube nearest to (alpha, ..., alpha)
+    so the region stays bounded with a known optimal vertex.
+    """
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    return list(BoundingBlock.canonical(n, alpha).rows())
+
+
+def build_objective(n: int, theta: float) -> np.ndarray:
+    """Objective coefficients c = theta * (n, n-1, ..., 1)."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    c = theta * np.arange(n, 0, -1, dtype=np.float64)
+    c.flags.writeable = False
+    return c
+
+
+def support_only_solution(n: int, alpha: float) -> np.ndarray:
+    """The unique maximizer over the bounding system alone:
+    (alpha, ..., alpha, alpha/2)."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    x = np.full(n, float(alpha))
+    x[n - 1] = alpha / 2
+    x.flags.writeable = False
+    return x
 
 
 def bound_violations(p: GeneratorParams) -> list[str]:
@@ -145,34 +193,13 @@ class Inequality:
         return hash((self.a.tobytes(), self.b))
 
 
-def support_layout(n: int, alpha: float):
-    """The rows of ``build_support(n, alpha)`` in closed form, in order.
-
-    Yields (j, coef, rhs): coefficient coef at position j and zeros
-    elsewhere, or coef at every position when j is None, with right-hand
-    side rhs.  Code that only needs the structure of the bounding system
-    (the writer, the reader, the validator) walks this instead of building
-    the rows.
-    """
-    return map(BoundingBlock.canonical(n, alpha).spec, range(2 * n + 1))
-
-
-def support_row(n: int, j, coef: float, rhs: float) -> Inequality:
-    """The row (j, coef, rhs) of ``support_layout`` as an inequality."""
-    if j is None:
-        return Inequality(np.full(n, coef), rhs)
-    a = np.zeros(n)
-    a[j] = coef
-    return Inequality(a, rhs)
-
-
 def _bits(v: float) -> np.uint64:
     return np.float64(v).view(np.uint64)
 
 
 def _is_layout_row(q: Inequality, j, coef: float, rhs: float) -> bool:
     """q, a row of n coefficients, is bitwise the row (j, coef, rhs) of
-    ``support_layout``."""
+    ``BoundingBlock.spec``."""
     if _bits(q.b) != _bits(rhs):
         return False
     bits = q.a.view(np.uint64)
@@ -186,19 +213,28 @@ class BoundingBlock:
     """The 2n+1 bounding rows of an instance without storing the canonical
     ones.
 
-    Row i is row i of ``support_layout(n, alpha)``, unless ``edits`` maps i
-    to another row of n coefficients.  A generated or read instance has no
+    Row i is the canonical row ``spec(i)``, unless ``edits`` maps i to
+    another row of n coefficients.  A generated or read instance has no
     edit.  An instance built from rows keeps, as given, each row that is not
-    bitwise canonical (a tampered row, a -0.0).
+    bitwise canonical (a tampered row, a -0.0).  An edit of an index outside
+    0..2n, or of other than n coefficients, raises ``ValueError``.
     """
 
     n: int
     alpha: float
     edits: dict  # row index -> Inequality
 
+    def __post_init__(self):
+        n = self.n
+        for i, q in self.edits.items():
+            if not 0 <= i <= 2 * n:
+                raise ValueError(f"bounding row {i}: expected an index in 0..{2 * n}")
+            if q.a.shape != (n,):
+                raise ValueError(f"bounding row {i}: expected {n} coefficients, got {q.a.size}")
+
     @classmethod
     def canonical(cls, n: int, alpha: float) -> "BoundingBlock":
-        """The 2n+1 rows of ``support_layout(n, alpha)``."""
+        """The 2n+1 canonical rows, none edited."""
         return cls(n, alpha, {})
 
     @classmethod
@@ -208,18 +244,17 @@ class BoundingBlock:
         ``ValueError``."""
         if len(rows) != 2 * n + 1:
             raise ValueError(f"expected 2n+1 = {2 * n + 1} bounding rows, got {len(rows)}")
-        for i, q in enumerate(rows):
-            if q is not None and q.a.shape != (n,):
-                raise ValueError(f"bounding row {i}: expected {n} coefficients, got {q.a.size}")
-        block = cls.canonical(n, float(alpha))
-        edits = {i: q for i, q in enumerate(rows)
-                 if q is not None and not _is_layout_row(q, *block.spec(i))}
+        # every given row is checked as an edit before it is compared
+        block = cls(n, float(alpha), {i: q for i, q in enumerate(rows) if q is not None})
+        edits = {i: q for i, q in block.edits.items() if not _is_layout_row(q, *block.spec(i))}
         return cls(n, block.alpha, edits)
 
     def spec(self, i: int):
-        """Row i < 2n+1 of the bounding system as (j, coef, rhs), the form
-        ``support_layout`` yields: x_j <= alpha for i < n, -x_j <= 0 for
-        i < 2n, then the diagonal sum_j x_j <= (n-1)*alpha + alpha/2."""
+        """Canonical row i < 2n+1 of the bounding system as (j, coef, rhs):
+        coefficient coef at position j and zeros elsewhere, or coef at every
+        position when j is None, with right-hand side rhs.  That is
+        x_j <= alpha for i < n, -x_j <= 0 for i < 2n, then the diagonal
+        sum_j x_j <= (n-1)*alpha + alpha/2."""
         n = self.n
         if i < n:
             return i, 1.0, self.alpha
@@ -228,8 +263,16 @@ class BoundingBlock:
         return None, 1.0, diagonal_rhs(n, self.alpha)
 
     def row(self, i: int) -> Inequality:
+        """Row i: its edit, or the canonical row ``spec(i)`` built."""
         q = self.edits.get(i)
-        return support_row(self.n, *self.spec(i)) if q is None else q
+        if q is not None:
+            return q
+        j, coef, rhs = self.spec(i)
+        if j is None:
+            return Inequality(np.full(self.n, coef), rhs)
+        a = np.zeros(self.n)
+        a[j] = coef
+        return Inequality(a, rhs)
 
     def rows(self) -> tuple[Inequality, ...]:
         return tuple(self.row(i) for i in range(2 * self.n + 1))
@@ -273,9 +316,10 @@ class LPInstance:
     and cached; an instance built from tuples keeps those.
     ``from_arrays`` builds an instance without any ``Inequality``.  Both
     constructors refuse, with ``ValueError``, a shape that neither the
-    generator nor the reader makes: n < 1, other than 2n+1 bounding rows,
-    a row or an objective of other than n coefficients, or a bounding block
-    kept for another n or for an alpha not bitwise ``params.alpha``.
+    generator nor the reader makes: n < 1, params of another n, other than
+    2n+1 bounding rows, a row or an objective of other than n coefficients,
+    or a bounding block kept for another n or for an alpha not bitwise
+    ``params.alpha``.
     """
 
     n: int
@@ -307,6 +351,8 @@ class LPInstance:
     def _store(self, n, bounding, a, b, c, params) -> None:
         if n < 1:
             raise ValueError(f"expected n >= 1, got {n}")
+        if params.n != n:
+            raise ValueError(f"expected params of n = {n}, got {params.n}")
         c = _frozen_vector(c)
         if c.shape != (n,):
             raise ValueError(f"expected an objective of {n} coefficients, got {c.size}")

@@ -4,11 +4,12 @@ Each stream is a PCG64 generator keyed by (seed, stream_id) through numpy's
 SeedSequence spawn mechanism, so distinct ids yield statistically independent
 streams and the same pair always yields the same stream, across platforms.
 
-Every primitive draw consumes exactly one raw 64-bit word:
+A stream hands out raw 64-bit words only (``RngStream.raw_words``); a draw
+is one of the word functions applied to them, one word per value:
 
-    sign  = 1 - 2 * (word & 1)
-    unit  = (word >> 11) / (2**53 - 1)        closed interval [0, 1]
-    real  = clip(l + (r - l) * unit, l, r)
+    sign  = 1 - 2 * (word & 1)                 words_to_signs
+    unit  = (word >> 11) / (2**53 - 1)         words_to_units, on [0, 1]
+    real  = clip(l + (r - l) * unit, l, r)     scale_units
 
 Fixed word-per-draw accounting is what lets callers draw candidates in large
 blocks while remaining bit-identical to one-at-a-time drawing.
@@ -53,22 +54,6 @@ class RngStream:
     def raw_words(self, count: int) -> np.ndarray:
         """The next count raw 64-bit words. Primitive every draw builds on."""
         return self._gen.integers(0, _FULL, size=count, dtype=np.uint64)
-
-    def next_sign(self) -> int:
-        return int(words_to_signs(self.raw_words(1))[0])
-
-    def next_signs(self, count: int) -> np.ndarray:
-        return words_to_signs(self.raw_words(count))
-
-    def next_real(self, l: float, r: float) -> float:
-        if not l < r:
-            raise ValueError("next_real requires l < r")
-        return float(scale_units(words_to_units(self.raw_words(1))[0], l, r))
-
-    def next_reals(self, l: float, r: float, count: int) -> np.ndarray:
-        if not l < r:
-            raise ValueError("next_reals requires l < r")
-        return scale_units(words_to_units(self.raw_words(count)), l, r)
 
 
 def derive_stream(seed: int, stream_id: int) -> RngStream:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .geometry import (
     axis_pairs,
-    direction_cut,
     hypercube_center,
     likeness,
     near_pairs,
@@ -35,8 +34,16 @@ from .geometry import (
     row_norms,
     row_sumsq,
 )
-from .model import BoundingBlock, LPInstance, UnsupportedDimensionError
-from .support import build_objective, build_support, support_only_solution
+from .model import (
+    BoundingBlock,
+    LPInstance,
+    UnsupportedDimensionError,
+    bound_violations,
+    build_objective,
+    build_support,
+    refuse,
+    support_only_solution,
+)
 
 _SLACK = 1e-9
 
@@ -67,6 +74,12 @@ class ValidationReport:
 def validate_instance(inst: LPInstance) -> ValidationReport:
     """Check every promised property of inst; collect all violations.
 
+    The acceptance bounds a file does not store come first: when
+    ``bound_violations`` (the conditions of ``validate_params`` on rho,
+    l_max and s_min) refuses ``inst.params``, ``ParameterError`` is raised
+    with exactly those violations, as the generator does, and no row is
+    checked.
+
     The instance's shape is right by construction: 2n+1 bounding rows kept
     under its own alpha, and rows and objective of n coefficients.  So every
     bounding row it holds in closed form is canonical, and a bounding row
@@ -83,9 +96,10 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     per row its center feasibility, distance band and objective
     improvement, then the alike pairs.
     """
+    p = inst.params
+    refuse(bound_violations(p))
     out: list[Violation] = []
     n = inst.n
-    p = inst.params
     block = inst.bounding
 
     # the conditions of validate_params on the parameters a file stores
@@ -215,11 +229,11 @@ def _pairwise_likeness_violations(inst, xi, stack, families, l_max, s_min):
     * two stacked rows: ``near_pairs``, walked in blocks of ``_PAIR_BLOCK``
       rows against the rows after the block's first;
     * a stacked row and a row of a family: ``axis_pairs``, the closed-form
-      shortlist the generator's ``BoundingScreen`` uses;
-    * two rows of the families: +-e_j and +-e_k have dot product 0 or -1
-      and halves 1/2, so no such pair is near unless
-      ``-1/2 > direction_cut(1/2, l_max)``, which needs l_max above about
-      sqrt(2); then every such pair within ``s_min`` in offset is kept.
+      shortlist the generator's ``BoundingScreen`` uses.
+
+    Two rows of the families, +-e_j and +-e_k, are never alike: their
+    direction gap is at least sqrt(2), above every ``l_max`` that
+    ``bound_violations`` lets through.
 
     Each survivor is rechecked with the exact scalar predicate, so the
     verdict never depends on BLAS summation order or on how the pair was
@@ -236,13 +250,6 @@ def _pairwise_likeness_violations(inst, xi, stack, families, l_max, s_min):
         hit = row_of[j] >= 0
         x, f = xi[x[hit]], row_of[j[hit]]
         pairs.append((np.minimum(x, f), np.maximum(x, f)))
-    if -0.5 > direction_cut(0.5, l_max):
-        # in row order: the rows of +e_j come first
-        fam = np.concatenate([rows for rows, _, _ in families])
-        offset = np.concatenate([np.full(len(rows), rhs) for rows, _, rhs in families])
-        i, j = np.triu_indices(len(fam), 1)
-        near = np.abs(offset[j] - offset[i]) < s_min
-        pairs.append((fam[i[near]], fam[j[near]]))
     ii, jj = (np.concatenate(x) for x in zip(*pairs))
     order = np.lexsort((jj, ii))
 

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import tempfile
@@ -9,13 +10,16 @@ from hypothesis import strategies as st
 
 from randlp import (
     GeneratorParams,
+    ParameterError,
     generate_parallel,
     generate_sequential,
     instance_to_text,
     read_instance,
     run_cli,
+    validate_instance,
     validate_params,
 )
+from randlp.model import bound_violations
 
 GEN = ["gen", "--n", "2", "--d", "5", "--seed", "42"]
 
@@ -271,15 +275,14 @@ def test_validate_takes_the_bounds_the_file_does_not_store(tmp_path, capsys):
 
 
 def test_validate_builds_no_bounding_row(tmp_path, capsys, monkeypatch):
-    from randlp import model, support
+    from randlp.model import BoundingBlock
 
     out = tmp_path / "n200.txt"
     assert run_cli(["gen", "--n", "200", "--d", "20", "--seed", "1", "--out", str(out)]) == 0
     built = []
-    for module in (model, support):
-        row = module.support_row
-        monkeypatch.setattr(module, "support_row",
-                            lambda *args, row=row: built.append(args) or row(*args))
+    row = BoundingBlock.row
+    monkeypatch.setattr(BoundingBlock, "row",
+                        lambda *args: built.append(args[1:]) or row(*args))
     assert run_cli(["validate", "--in", str(out)]) == 0
     assert "ok" in capsys.readouterr().out
     assert built == []
@@ -294,6 +297,43 @@ def test_validate_refuses_rho_not_below_the_file_theta(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "parameter violation: rho < theta\n"
+
+
+# per n, an instance whose first two random rows are one row twice
+DUPLICATED = {
+    2: GeneratorParams(n=2, d=5, seed=42),
+    1: GeneratorParams(n=1, d=2, seed=5, rho=10.0, s_min=20.0),
+}
+# (n, field, validate flag, value): bounds gen refuses; s_min > alpha/2 is
+# refused at n = 1 only
+REFUSED_BOUNDS = (
+    [(2, "l_max", "lmax", v) for v in (math.nan, -1.0, 0.0, 0.71)]
+    + [(2, "s_min", "smin", v) for v in (0.0, math.nan, -math.inf)]
+    + [(2, "rho", "rho", v) for v in (math.nan, 100.0)]  # theta = 100
+    + [(1, "s_min", "smin", 101.0)]
+)
+
+
+@pytest.mark.parametrize("n, field, flag, value", REFUSED_BOUNDS,
+                         ids=[f"n{n}-{f}={v!r}" for n, f, _, v in REFUSED_BOUNDS])
+def test_library_and_cli_refuse_the_same_bounds(tmp_path, capsys, n, field, flag, value):
+    inst, _ = generate_sequential(DUPLICATED[n])
+    random = list(inst.random)
+    random[1] = random[0]
+    inst = replace(inst, random=tuple(random))
+    assert not validate_instance(inst).ok
+    q = replace(inst.params, **{field: value})
+    want = bound_violations(q)
+    assert want
+    with pytest.raises(ParameterError) as err:
+        validate_instance(inst.with_params(q))
+    assert err.value.violations == want
+    out = tmp_path / "dup.txt"
+    out.write_text(instance_to_text(inst))
+    assert run_cli(["validate", "--in", str(out), f"--{flag}={value!r}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(f"parameter violation: {v}\n" for v in want)
 
 
 def test_validate_reports_stored_parameters_that_gen_refuses(tmp_path, capsys):

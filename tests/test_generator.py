@@ -29,21 +29,26 @@ from randlp.rng import scale_units, words_to_units
 from conftest import make_params
 
 
+# the raw word of each unit draw 0 and 1
+UNIT_WORD = {0: 0, 1: (2**53 - 1) << 11}
+
+
+def candidate_words(signs, units):
+    """The 2n+2 raw words of one candidate: n+1 signs, each in its word's
+    low bit, then n+1 units, each 0 or 1."""
+    return [int(sign < 0) for sign in signs] + [UNIT_WORD[u] for u in units]
+
+
 class StubStream:
-    """Scripted stand-in: hands out queued signs and magnitudes."""
+    """Scripted stand-in: hands out queued raw words."""
 
-    def __init__(self, signs, mags):
-        self.signs = list(signs)
-        self.mags = list(mags)
+    def __init__(self, *candidates):
+        self.words = [w for words in candidates for w in words]
 
-    def next_signs(self, count):
-        return np.array([self.signs.pop(0) for _ in range(count)], dtype=np.int64)
-
-    def next_reals(self, l, r, count):
-        return np.array([self.mags.pop(0) for _ in range(count)], dtype=np.float64)
-
-    def next_real(self, l, r):
-        return float(self.mags.pop(0))
+    def raw_words(self, count):
+        out = np.array(self.words[:count], dtype=np.uint64)
+        del self.words[:count]
+        return out
 
 
 H2 = np.array([100.0, 100.0])
@@ -52,15 +57,15 @@ H2 = np.array([100.0, 100.0])
 def test_draw_flips_to_keep_center_feasible():
     # scripted row (1,0) <= 20 excludes the center (100,100); the draw must
     # come back negated
-    stub = StubStream(signs=[1, 1, 1], mags=[1.0, 0.0, 20.0])
-    q = draw_candidate(stub, make_params(), H2)
+    stub = StubStream(candidate_words([1, 1, 1], [1, 0, 1]))
+    q = draw_candidate(stub, make_params(a_max=1.0, b_max=20.0), H2)
     assert np.array_equal(q.a, [-1.0, 0.0])
     assert q.b == -20.0
 
 
 def test_draw_keeps_rows_already_feasible():
-    stub = StubStream(signs=[1, 1, 1], mags=[1.0, 0.0, 500.0])
-    q = draw_candidate(stub, make_params(), H2)
+    stub = StubStream(candidate_words([1, 1, 1], [1, 0, 1]))
+    q = draw_candidate(stub, make_params(a_max=1.0, b_max=500.0), H2)
     assert np.array_equal(q.a, [1.0, 0.0])
     assert q.b == 500.0
 
@@ -69,13 +74,13 @@ def test_draw_redraws_zero_norm_rows():
     # first scripted candidate is the zero row; it must be consumed in full
     # and silently replaced by the next one
     stub = StubStream(
-        signs=[1, 1, 1, 1, 1, 1],
-        mags=[0.0, 0.0, 5.0, 3.0, 4.0, 7.0],
+        candidate_words([1, 1, 1], [0, 0, 1]),
+        candidate_words([1, 1, 1], [1, 1, 1]),
     )
-    q = draw_candidate(stub, make_params(), H2)
-    assert np.array_equal(q.a, [-3.0, -4.0])
+    q = draw_candidate(stub, make_params(a_max=3.0, b_max=7.0), H2)
+    assert np.array_equal(q.a, [-3.0, -3.0])
     assert q.b == -7.0
-    assert not stub.signs and not stub.mags
+    assert not stub.words
 
 
 def test_draw_golden_first_candidate():
@@ -327,28 +332,6 @@ def test_accepted_rows_differ_across_block_boundaries():
     for q in inst.random:
         assert np.all(np.abs(q.a) <= params.a_max)
         assert abs(q.b) <= params.b_max
-
-
-class ThreeCallStream:
-    """A real stream seen only through its sign and real draws."""
-
-    def __init__(self, stream):
-        self.next_signs = stream.next_signs
-        self.next_reals = stream.next_reals
-        self.next_real = stream.next_real
-
-
-@pytest.mark.parametrize("n", [1, 2, 7])
-def test_draw_reads_the_same_words_in_one_call_as_in_three(n):
-    params = make_params(n=n, a_max=3.0, b_max=11.0)
-    h = hypercube_center(n, params.alpha)
-    one, three = derive_stream(5, 0), derive_stream(5, 0)
-    for _ in range(200):
-        q1 = draw_candidate(one, params, h)
-        q3 = draw_candidate(ThreeCallStream(three), params, h)
-        assert q1.a.tobytes() == q3.a.tobytes()
-        assert np.float64(q1.b).tobytes() == np.float64(q3.b).tobytes()
-    assert np.array_equal(one.raw_words(4), three.raw_words(4))
 
 
 class LoopedScreen:

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from randlp import (
     write_stats,
 )
 from randlp import io as rio
+from randlp.model import BoundingBlock
 
 
 def test_support_only_n1_exact_text():
@@ -114,7 +116,13 @@ def test_row_text_equals_formatting_each_token(values):
     assert rio._text(values) == " ".join(format(v, ".17g") for v in values)
     q = Inequality(np.array(values[:-1] or [1.0]), values[-1])
     want = " ".join(format(v, ".17g") for v in q.a.tolist() + [q.b])
-    assert rio._row_text(q) == want
+    # the writer's line for a bounding row: the template when q is
+    # canonical, else the row format
+    n = q.a.size
+    block = BoundingBlock.from_rows(n, 200.0, [q] + [None] * (2 * n))
+    inst = LPInstance.from_arrays(n, block, np.empty((0, n)), np.empty(0),
+                                  build_objective(n, 100.0), GeneratorParams(n=n))
+    assert instance_to_text(inst).splitlines()[1] == want
 
 
 def test_header_reconstructs_alpha_and_theta():
@@ -417,8 +425,9 @@ def test_overflowing_diagonal_line_with_a_finite_rhs_is_an_edit():
              "-1 0 0 0", "0 -1 0 0", "0 0 -1 0", "1 1 1 1e+308", "1.5 1 0.5"]
     back = read_instance(io.StringIO("\n".join(lines) + "\n"))
     assert back.bounding.edits.keys() == {6}
-    # the center (5e307, 5e307, 5e307) lies outside the row as read
-    report = validate_instance(back)
+    # the center (5e307, 5e307, 5e307) lies outside the row as read; rho
+    # below the file's theta 0.5
+    report = validate_instance(back.with_params(replace(back.params, rho=0.25)))
     assert [(v.constraint, v.condition) for v in report.violations] == [
         (6, "bounding row mismatch"), (6, "center feasibility a.h <= b")
     ]

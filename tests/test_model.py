@@ -297,6 +297,37 @@ def test_malformed_shapes_are_refused_at_construction(case):
             inst.with_params(replace(inst.params, alpha=100.0))
 
 
+@pytest.mark.parametrize("i", [-1, 5, 6])
+def test_an_edit_outside_the_block_is_refused(i):
+    # at n = 2 row 5 is random row 0, which an edit must not shadow
+    inst, _ = generate_sequential(GeneratorParams(n=2, d=2, seed=42))
+    with pytest.raises(ValueError, match=f"bounding row {i}: expected an index in 0..4"):
+        BoundingBlock(2, inst.params.alpha, {i: inst.row(5)})
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_an_edit_of_other_than_n_coefficients_is_refused(width):
+    row = Inequality(np.ones(width), 900.0)
+    with pytest.raises(ValueError, match=f"bounding row 4: expected 2 coefficients, got {width}"):
+        BoundingBlock(2, 200.0, {4: row})
+
+
+@pytest.mark.parametrize("other", [1, 3])
+def test_params_of_another_n_are_refused(other):
+    parts = _parts()
+    params = replace(parts["params"], n=other)
+    match = f"expected params of n = 2, got {other}"
+    with pytest.raises(ValueError, match=match):
+        LPInstance(n=2, support=parts["support"], random=parts["random"], c=parts["c"],
+                   params=params)
+    block = BoundingBlock.canonical(2, 200.0)
+    with pytest.raises(ValueError, match=match):
+        LPInstance.from_arrays(2, block, parts["a"], parts["b"], parts["c"], params)
+    with pytest.raises(ValueError, match=match):
+        LPInstance.from_arrays(2, block, parts["a"], parts["b"], parts["c"],
+                               parts["params"]).with_params(params)
+
+
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
 def test_a_non_finite_alpha_still_builds_from_tuples(alpha):
     # the validator reports such an instance as structural, so it must exist

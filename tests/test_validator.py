@@ -11,6 +11,7 @@ from randlp import (
     GeneratorParams,
     Inequality,
     LPInstance,
+    ParameterError,
     UnsupportedDimensionError,
     build_objective,
     build_support,
@@ -29,7 +30,7 @@ from randlp import (
 )
 from randlp import validator
 from randlp.geometry import hypercube_center, row_dots, row_norms
-from randlp.model import BoundingBlock
+from randlp.model import BoundingBlock, bound_violations
 
 from conftest import make_params
 
@@ -638,11 +639,15 @@ def test_any_split_reports_the_same_from_tuples_and_arrays(row_condition_instanc
 
 
 def test_n1_file_reports_the_diagonal_alike_with_the_first_row():
+    # at n = 1 the diagonal x <= 75 shares the first row's normal, and the
+    # default s_min 100 above alpha/2 is refused as gen refuses it; rho is
+    # below the file's theta 50
     inst = read_instance(io.StringIO("1 3 0 0\n1 150\n-1 0\n1 75\n50\n"))
-    assert [str(v) for v in validate_instance(inst).violations] == [
-        "constraint 2: alike with constraint 0 (measured direction gap 0, "
-        "bound < 0.35 is too similar)"
-    ]
+    params = replace(inst.params, rho=25.0)
+    with pytest.raises(ParameterError) as err:
+        validate_instance(inst.with_params(params))
+    assert err.value.violations == ["s_min <= alpha/2 when n = 1"]
+    assert validate_instance(inst.with_params(replace(params, s_min=75.0))).ok
 
 
 @pytest.mark.parametrize("l_max, s_min", [
@@ -655,17 +660,17 @@ def test_n1_file_reports_the_diagonal_alike_with_the_first_row():
     (2.0001, 300.0),
 ])
 def test_rows_with_one_nonzero_of_different_columns_pair_up_under_a_wide_bound(l_max, s_min):
-    # above l_max = sqrt(2) rows +-e_j and +-e_k of different columns are
-    # close enough in direction, so the zero product between them decides
+    # above l_max = sqrt(2) rows +-e_j and +-e_k of different columns would
+    # be close enough in direction; such an l_max is refused, as gen
+    # refuses it, before any pair is looked at
     inst, _ = generate_sequential(GeneratorParams(n=3, d=4, seed=1))
     rows = list(inst.constraints)
     rows[8] = Inequality([0.0, 2.0, 0.0], 300.0)
-    wide = replace(inst, random=tuple(rows[7:]),
-                   params=replace(inst.params, l_max=l_max, s_min=s_min))
-    want = all_pairs_reference(wide)
-    assert any(i < 6 and j < 6 and i % 3 != j % 3
-               for j, cond in want for i in [int(cond.rsplit(" ", 1)[1])])
-    assert alike_violations(validate_instance(wide)) == want
+    params = replace(inst.params, l_max=l_max, s_min=s_min)
+    wide = replace(inst, random=tuple(rows[7:]), params=params)
+    with pytest.raises(ParameterError) as err:
+        validate_instance(wide)
+    assert err.value.violations == bound_violations(params) == ["l_max <= 0.7"]
 
 
 # --- a seeded sweep of tampered instances ----------------------------------------
@@ -706,10 +711,10 @@ def sweep_bases():
 
 
 def test_seeded_tampered_sweep_matches_the_references(sweep_bases):
-    # 300 instances, each with 1-4 tamperings and its own l_max and s_min:
-    # the pair shortlists (stacked rows, closed-form axis rows, pairs within
-    # the axis families above l_max = sqrt(2)) must keep every alike pair,
-    # and the row conditions must be those of one row at a time
+    # 300 instances, each with 1-4 tamperings and its own l_max and s_min
+    # that gen accepts: the pair shortlists (stacked rows, closed-form axis
+    # rows) must keep every alike pair, and the row conditions must be
+    # those of one row at a time
     gen = np.random.default_rng(20261019)
     seen = set()
     for _ in range(300):
@@ -717,8 +722,10 @@ def test_seeded_tampered_sweep_matches_the_references(sweep_bases):
         rows = list(inst.constraints)
         for _ in range(int(gen.integers(1, 5))):
             _random_tampering(gen, inst, rows)
-        params = replace(inst.params, l_max=float(gen.choice([0.35, 0.7, 1.5, 1.9])),
-                         s_min=float(gen.choice([100.0, 300.0])))
+        s_min = float(gen.choice([100.0, 300.0]))
+        if inst.n == 1:
+            s_min = min(s_min, inst.params.alpha / 2)
+        params = replace(inst.params, l_max=float(gen.choice([0.35, 0.7])), s_min=s_min)
         k = len(inst.support)
         bad = replace(inst, support=tuple(rows[:k]), random=tuple(rows[k:]), params=params)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -728,4 +735,4 @@ def test_seeded_tampered_sweep_matches_the_references(sweep_bases):
             assert row_violations(report) == per_row_reference(bad)
         seen.add((params.l_max, bool(alike)))
     # every l_max was drawn, with and without alike pairs
-    assert seen == {(l, hit) for l in (0.35, 0.7, 1.5, 1.9) for hit in (False, True)}
+    assert seen == {(l, hit) for l in (0.35, 0.7) for hit in (False, True)}
