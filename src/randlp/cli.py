@@ -17,12 +17,14 @@ _DEFAULTS = {f.name: f.default for f in dataclasses.fields(GeneratorParams)}
 
 
 def _add_unstored_args(ap: argparse.ArgumentParser) -> None:
-    """The acceptance bounds an instance file does not record."""
-    ap.add_argument("--rho", type=float, default=_DEFAULTS["rho"], help="exclusion-ball radius")
-    ap.add_argument("--lmax", dest="l_max", type=float, default=_DEFAULTS["l_max"],
-                    help="direction likeness bound")
-    ap.add_argument("--smin", dest="s_min", type=float, default=_DEFAULTS["s_min"],
-                    help="offset likeness bound")
+    """The acceptance bounds an instance file does not record.  argparse
+    reads a value such as -inf, -nan or -1e5 after a space as an option
+    name, so each help says to join it with '='."""
+    for flag, dest, text in (("--rho", "rho", "exclusion-ball radius"),
+                             ("--lmax", "l_max", "direction likeness bound"),
+                             ("--smin", "s_min", "offset likeness bound")):
+        ap.add_argument(flag, dest=dest, type=float, default=_DEFAULTS[dest],
+                        help=f"{text}; join a value such as -inf with '=': {flag}=-inf")
 
 
 def _add_generator_args(ap: argparse.ArgumentParser) -> None:

@@ -47,7 +47,7 @@ from .model import (
     Inequality,
     LPInstance,
     build_objective,
-    build_support,
+    build_support,  # unused: perfbench/spans.py patches this name here
     refuse,
     validate_params,
 )
@@ -298,9 +298,6 @@ def _generate(params: GeneratorParams, workers: int) -> tuple[LPInstance, Genera
     refuse(validate_params(params))
     t0 = time.perf_counter()
     n, d, budget = params.n, params.d, params.max_attempts
-    # The instance keeps its bounding rows in closed form; the rows built
-    # here only give perfbench's tracer its support span (perfbench/spans.py).
-    build_support(n, params.alpha)
     c = build_objective(n, params.theta)
     h = hypercube_center(n, params.alpha)
     screen = BoundingScreen(n, params.alpha, params.l_max, params.s_min)

@@ -232,19 +232,23 @@ def axis_pairs(rows, coef: float, rhs: float, l_max: float, s_min: float):
 
 class BoundingScreen:
     """Likeness against the 2n+1 rows of ``build_support(n, alpha)``, from
-    their closed form instead of a stored (2n+1) x n matrix.
+    their closed form instead of a stored (2n+1) x n matrix: the one code
+    that knows where a row can be alike to a bounding row.
 
     The rows x_j <= alpha are e_j with offset alpha and the rows -x_j <= 0
     are -e_j with offset 0, so ``axis_pairs`` shortlists each family of n
     rows in O(n) per row; the diagonal row has unit normal ones/sqrt(n).
-    Every shortlisted row is rechecked with ``row_norms(unit - u)`` on the
-    same unit row a dense ``SimilarityIndex`` of the bounding rows holds, so
-    the verdict equals that index's ``any_alike`` bit for bit.
-    ``alike_rows`` screens a whole stack of rows with one pass of each
-    test, so a producer screens all survivors of a block in one call.
+    Every shortlisted pair is rechecked with ``row_norms(unit - u)`` on the
+    same unit row a dense ``SimilarityIndex`` of the bounding rows holds,
+    which is also the gap ``likeness`` measures, so ``pairs`` holds exactly
+    the pairs ``likeness`` finds alike and ``alike_rows`` equals that
+    index's ``any_alike`` bit for bit.  Each screens a whole stack of rows
+    with one pass of each test, so a producer screens all survivors of a
+    block in one call.
     """
 
     def __init__(self, n: int, alpha: float, l_max: float, s_min: float):
+        self._n = n
         self._alpha = float(alpha)
         self._l_max = l_max
         self._s_min = s_min
@@ -253,19 +257,31 @@ class BoundingScreen:
         self._diag_unit = ones / nrm
         self._diag_offset = float(diagonal_rhs(n, alpha)) / nrm
 
-    def alike_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """For each row of the stack ``a`` with right-hand side ``b``, whether
-        it is alike to some bounding row."""
-        stack = unit_rows(a, b, "compared")
+    def pairs(self, stack) -> tuple[np.ndarray, np.ndarray]:
+        """The alike pairs (k, i) of row k of ``stack`` and bounding row i,
+        one array of each: the rows x_j <= alpha, then -x_j <= 0, then the
+        diagonal.  ``stack`` is (unit rows, halves, offsets), as
+        ``unit_rows`` returns them."""
         units, _, beta = stack
-        l_max, s_min = self._l_max, self._s_min
-        hit = np.zeros(len(units), dtype=bool)
-        for coef, rhs in ((1.0, self._alpha), (-1.0, 0.0)):
+        n, l_max, s_min = self._n, self._l_max, self._s_min
+        ks, rows = [], []
+        for coef, rhs, first in ((1.0, self._alpha, 0), (-1.0, 0.0, n)):
             ii, jj = axis_pairs(stack, coef, rhs, l_max, s_min)
             # unit - u for each shortlisted pair: 0 - u_k off the axis
             diff = 0.0 - units[ii]
             diff[np.arange(ii.size), jj] = coef - units[ii, jj]
-            hit[ii[row_norms(diff) < l_max]] = True
+            hit = row_norms(diff) < l_max
+            ks.append(ii[hit])
+            rows.append(jj[hit] + first)
         diag = np.flatnonzero(np.abs(self._diag_offset - beta) < s_min)
-        hit[diag] |= row_norms(self._diag_unit - units[diag]) < l_max
+        diag = diag[row_norms(self._diag_unit - units[diag]) < l_max]
+        ks.append(diag)
+        rows.append(np.full(diag.size, 2 * n))
+        return np.concatenate(ks), np.concatenate(rows)
+
+    def alike_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """For each row of the stack ``a`` with right-hand side ``b``, whether
+        it is alike to some bounding row."""
+        hit = np.zeros(len(a), dtype=bool)
+        hit[self.pairs(unit_rows(a, b, "compared"))[0]] = True
         return hit

@@ -35,6 +35,7 @@ the lines are parsed token by token instead, which also accepts what only
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -212,17 +213,13 @@ def read_instance(source) -> LPInstance:
 
 
 def stats_to_text(stats: GenerationStats) -> str:
-    lines = [
-        f"candidates_drawn = {stats.candidates_drawn}",
-        f"rejected_distance = {stats.rejected_distance}",
-        f"rejected_objective = {stats.rejected_objective}",
-        f"rejected_similarity = {stats.rejected_similarity}",
-        f"coordinator_rejected_similarity = {stats.coordinator_rejected_similarity}",
-        f"discarded_surplus = {stats.discarded_surplus}",
-        f"rounds = {stats.rounds}",
-        f"wall_time_ms = {stats.wall_time_ms:.3f}",
-    ]
-    return "\n".join(lines) + "\n"
+    """One ``name = value`` line per field of ``stats``, in field order; a
+    float field with three decimals."""
+    lines = []
+    for f in dataclasses.fields(stats):
+        spec = ".3f" if f.type == "float" else ""
+        lines.append(f"{f.name} = {getattr(stats, f.name):{spec}}\n")
+    return "".join(lines)
 
 
 def write_stats(stats: GenerationStats, dest) -> None:

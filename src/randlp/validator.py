@@ -9,8 +9,10 @@ flip them.  All strict comparisons go through the same row kernels the
 generator used, so a generated instance validates bit-for-bit.
 
 All checks share one stack of the rows the instance does not hold in
-closed form, in row order: an unusable row is reported, zeroed and masked,
-and the pair walk normalizes the stack in place.
+closed form, the edited bounding rows and the random rows, in row order:
+an unusable row is reported, zeroed and masked, and the pair walk
+normalizes the stack in place.  Every bounding row held in closed form is
+paired with the stack through ``BoundingScreen.pairs``.
 
 ``verify_support_solution`` checks the known optimum of the bounding system
 by brute-force vertex enumeration, deliberately an independent code path from
@@ -25,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import (
-    axis_pairs,
+    BoundingScreen,
     hypercube_center,
     likeness,
     near_pairs,
@@ -41,6 +43,7 @@ from .model import (
     bound_violations,
     build_objective,
     build_support,
+    diagonal_rhs,
     refuse,
     support_only_solution,
 )
@@ -85,16 +88,19 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     bounding row it holds in closed form is canonical, and a bounding row
     mismatches exactly when it is an edit that differs from the canonical
     row.  Each row's own conditions are evaluated once over a
-    stack of the rows not in closed form, with the row kernels a one-row
-    check uses, so every verdict and every measured value equals that of
-    checking the rows one at a time.  The rows x_j <= alpha and -x_j <= 0
-    held in closed form need no such check: alpha being finite and positive
-    by then, they have norm 1 and hold at the center (alpha/2, ...,
-    alpha/2).  The violations come out in row order too: structural (with
-    the conditions of ``validate_params`` on the alpha and theta that a file
-    stores), bounding rows and objective, non-finite rows, zero rows, then
-    per row its center feasibility, distance band and objective
-    improvement, then the alike pairs.
+    stack of the rows not in closed form, the edited bounding rows and the
+    random rows, with the row kernels a one-row check uses, so every verdict
+    and every measured value equals that of checking the rows one at a
+    time.  The bounding rows held in closed form need no such check: with
+    alpha finite and positive and (n-1)*alpha + alpha/2 finite by then,
+    they are finite, nonzero and hold at the center (alpha/2, ...,
+    alpha/2).  A diagonal right-hand side that overflows is structural,
+    as ``validate_params`` states it, and ends the check.  The violations
+    come out in row order too: structural (with the conditions of
+    ``validate_params`` on the alpha and theta that a file stores, and on
+    the diagonal they give), bounding rows and objective, non-finite rows,
+    zero rows, then per row its center feasibility, distance band and
+    objective improvement, then the alike pairs.
     """
     p = inst.params
     refuse(bound_violations(p))
@@ -111,6 +117,9 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
             out.append(Violation(-1, f"{name} finite", value, "finite"))
     if not p.theta <= p.alpha / 2:
         out.append(Violation(-1, "theta <= alpha/2", p.theta, p.alpha / 2))
+    diagonal = diagonal_rhs(n, p.alpha)
+    if math.isfinite(p.alpha) and not math.isfinite(diagonal):
+        out.append(Violation(-1, "(n-1)*alpha + alpha/2 finite", diagonal, "finite"))
     if out:
         return ValidationReport(False, tuple(out))
 
@@ -123,18 +132,14 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
         out.append(Violation(-1, "objective row mismatch", "row differs", "exact"))
 
     # The stack X holds every row not in closed form: the edited bounding
-    # rows, the diagonal, then the random rows from X[r] on; X[k] is
-    # constraint xi[k].
-    first = 2 * n + 1
-    head = sorted(block.edits.keys() | {2 * n})
+    # rows, then the random rows from X[r] on; X[k] is constraint xi[k].
+    head = sorted(block.edits)
     r = len(head)
-    xi = np.concatenate([head, np.arange(first, inst.m)]).astype(np.intp)
+    xi = np.concatenate([head, np.arange(2 * n + 1, inst.m)]).astype(np.intp)
     X = np.empty((len(xi), n))
     B = np.empty(len(xi))
     for k, i in enumerate(head):
-        q = block.edits.get(i)
-        _, coef, rhs = block.spec(i)  # the diagonal: coef at every position
-        X[k], B[k] = (coef, rhs) if q is None else (q.a, q.b)
+        X[k], B[k] = block.edits[i].a, block.edits[i].b
     X[r:] = inst.random_a
     B[r:] = inst.random_b
     sumsq = row_sumsq(X)
@@ -196,21 +201,9 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     B /= norms
     units = X[usable]
     stack = (units, row_sumsq(units) / 2.0, B[usable])
-    out.extend(_pairwise_likeness_violations(
-        inst, xi[usable], stack, _axis_families(block), p.l_max, p.s_min
-    ))
+    screen = BoundingScreen(n, p.alpha, p.l_max, p.s_min)
+    out.extend(_pairwise_likeness_violations(inst, xi[usable], stack, screen, p.l_max, p.s_min))
     return ValidationReport(not out, tuple(out))
-
-
-def _axis_families(block: BoundingBlock):
-    """The rows the block holds in closed form other than the diagonal:
-    (row indices, coefficient, right-hand side) of x_j <= alpha and of
-    -x_j <= 0, the coefficient at column j of row j and row n+j."""
-    n = block.n
-    plain = np.ones(2 * n, dtype=bool)
-    plain[[i for i in block.edits if i < 2 * n]] = False
-    rows = np.flatnonzero(plain)
-    return [(rows[rows < n], 1.0, block.alpha), (rows[rows >= n], -1.0, 0.0)]
 
 
 # Rows of the upper-triangle Gram slab computed at a time: the slab holds
@@ -218,22 +211,25 @@ def _axis_families(block: BoundingBlock):
 _PAIR_BLOCK = 256
 
 
-def _pairwise_likeness_violations(inst, xi, stack, families, l_max, s_min):
+def _pairwise_likeness_violations(inst, xi, stack, screen, l_max, s_min):
     """All-pairs dissimilarity check of the usable rows, in row-major (i, j) order.
 
     ``stack`` is (unit rows, halves, offsets) of the usable stacked rows,
-    its row k constraint ``xi[k]``, and each row of ``families`` is
-    coef * e_j with offset rhs.  The shortlist holds every pair within the
-    direction and offset bounds, found by where its rows come from:
+    its row k constraint ``xi[k]``.  The shortlist holds every pair within
+    the direction and offset bounds, found by where its rows come from:
 
     * two stacked rows: ``near_pairs``, walked in blocks of ``_PAIR_BLOCK``
       rows against the rows after the block's first;
-    * a stacked row and a row of a family: ``axis_pairs``, the closed-form
-      shortlist the generator's ``BoundingScreen`` uses.
+    * a stacked row and a bounding row held in closed form:
+      ``screen.pairs``, the ``BoundingScreen`` the generator uses, less the
+      pairs whose bounding row is stacked as an edit.
 
-    Two rows of the families, +-e_j and +-e_k, are never alike: their
-    direction gap is at least sqrt(2), above every ``l_max`` that
-    ``bound_violations`` lets through.
+    Two bounding rows held in closed form are never alike once
+    ``bound_violations`` passes: +-e_j and +-e_k are sqrt(2) or more apart
+    in direction, and the diagonal at least sqrt(2 - 2/sqrt(2)) ~ 0.765
+    from each of them for n >= 2, both above the l_max cap of 0.7; at
+    n = 1 the diagonal and x <= alpha are alpha/2 apart in offset, and
+    s_min <= alpha/2.
 
     Each survivor is rechecked with the exact scalar predicate, so the
     verdict never depends on BLAS summation order or on how the pair was
@@ -241,15 +237,11 @@ def _pairwise_likeness_violations(inst, xi, stack, families, l_max, s_min):
     off the two rows the recheck builds.  Peak memory
     is O(_PAIR_BLOCK * m), not O(m^2).
     """
-    n = inst.n
     pairs = list(_stack_pairs(xi, stack, l_max, s_min))
-    for rows, coef, rhs in families:
-        row_of = np.full(n, -1)  # the family's row of each column, if in closed form
-        row_of[rows % n] = rows
-        x, j = axis_pairs(stack, coef, rhs, l_max, s_min)
-        hit = row_of[j] >= 0
-        x, f = xi[x[hit]], row_of[j[hit]]
-        pairs.append((np.minimum(x, f), np.maximum(x, f)))
+    k, i = screen.pairs(stack)
+    closed = ~np.isin(i, list(inst.bounding.edits))
+    x, i = xi[k[closed]], i[closed]
+    pairs.append((np.minimum(x, i), np.maximum(x, i)))
     ii, jj = (np.concatenate(x) for x in zip(*pairs))
     order = np.lexsort((jj, ii))
 

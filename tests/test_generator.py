@@ -24,6 +24,7 @@ from randlp import (
     validate_instance,
 )
 from randlp.geometry import row_sumsq
+from randlp.model import BoundingBlock
 from randlp.rng import scale_units, words_to_units
 
 from conftest import make_params
@@ -383,6 +384,20 @@ def test_engines_and_writer_need_no_dense_bounding_index(monkeypatch, params):
     again, _ = engine(params)
     assert again == inst
     assert instance_to_text(again) == text
+
+
+@pytest.mark.parametrize("engine, workers", [(generate_sequential, 1), (generate_parallel, 3)])
+def test_engines_build_no_dense_bounding_row(monkeypatch, engine, workers):
+    params = GeneratorParams(n=5, d=10, seed=1, workers=workers)
+    inst, _ = engine(params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense bounding row built")
+
+    monkeypatch.setattr(generator_module, "build_support", refuse)
+    monkeypatch.setattr(BoundingBlock, "row", refuse)
+    again, _ = engine(params)
+    assert again == inst
 
 
 @pytest.mark.parametrize("s_min", [1.0, 50.0, 99.0, 100.0])

@@ -24,6 +24,7 @@ from randlp.geometry import (
     row_dots,
     row_norms,
     row_sumsq,
+    unit_rows,
 )
 
 H = hypercube_center(2, 200.0)
@@ -212,6 +213,21 @@ def assert_screen_matches_dense(n, l_max, s_min, rows):
         assert got == dense.any_alike(a, b), (a, b, l_max, s_min)
 
 
+def assert_pairs_match_likeness(n, l_max, s_min, rows):
+    """``BoundingScreen.pairs`` of the stacked rows are exactly the (row,
+    bounding row) pairs for which ``likeness`` holds."""
+    stack = unit_rows(np.stack([np.asarray(a) for a, _ in rows]),
+                      np.array([b for _, b in rows]), "compared")
+    k, i = BoundingScreen(n, ALPHA, l_max, s_min).pairs(stack)
+    want = {
+        (x, y)
+        for x, row in enumerate(Inequality(a, b) for a, b in rows)
+        for y, q in enumerate(support_rows(n))
+        if likeness(row, q, l_max, s_min)
+    }
+    assert sorted(zip(k.tolist(), i.tolist())) == sorted(want), (l_max, s_min)
+
+
 def bounding_units(n):
     """(unit normal, normalized offset) of every bounding row, computed the
     way SimilarityIndex normalizes them."""
@@ -251,6 +267,7 @@ def test_screen_matches_dense_index_near_bounding_rows(n, seed, spread, shift, s
     a = gen.uniform(-1000.0, 1000.0, n)
     rows.append((a, float(gen.uniform(-1e4, 1e4))))
     assert_screen_matches_dense(n, l_max, s_min, rows)
+    assert_pairs_match_likeness(n, l_max, s_min, rows)
 
 
 @given(
@@ -306,6 +323,7 @@ def test_screen_matches_dense_index_at_the_thresholds(n):
         for a, b, thresholds in rows:
             for l_max, s_min in thresholds:
                 assert_screen_matches_dense(n, l_max, s_min, [(a, b)])
+                assert_pairs_match_likeness(n, l_max, s_min, [(a, b)])
         # the row itself sits at gap 0 and offset difference 0
         unit, offset = units[k]
         screen = BoundingScreen(n, ALPHA, 0.35, 100.0)
@@ -381,6 +399,7 @@ def test_screen_matches_dense_index_on_underflowing_rows(n, seed, spread):
     l_max = float(np.nextafter(gap, 1.0))
     if l_max < 0.7:
         assert_screen_matches_dense(n, l_max, 100.0, [(a, b)])
+        assert_pairs_match_likeness(n, l_max, 100.0, [(a, b)])
 
 
 def test_screen_rejects_a_zero_row_like_the_index():

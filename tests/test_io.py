@@ -210,6 +210,16 @@ def test_stats_text_has_all_counters():
         "wall_time_ms = 1.500",
     ):
         assert key in text
+    assert text == (
+        "candidates_drawn = 10\n"
+        "rejected_distance = 4\n"
+        "rejected_objective = 3\n"
+        "rejected_similarity = 1\n"
+        "coordinator_rejected_similarity = 1\n"
+        "discarded_surplus = 0\n"
+        "rounds = 2\n"
+        "wall_time_ms = 1.500\n"
+    )
 
 
 def test_write_stats_to_path(tmp_path):
@@ -425,11 +435,11 @@ def test_overflowing_diagonal_line_with_a_finite_rhs_is_an_edit():
              "-1 0 0 0", "0 -1 0 0", "0 0 -1 0", "1 1 1 1e+308", "1.5 1 0.5"]
     back = read_instance(io.StringIO("\n".join(lines) + "\n"))
     assert back.bounding.edits.keys() == {6}
-    # the center (5e307, 5e307, 5e307) lies outside the row as read; rho
-    # below the file's theta 0.5
+    # the overflowing diagonal is structural, as validate_params states it,
+    # and ends the check; rho below the file's theta 0.5
     report = validate_instance(back.with_params(replace(back.params, rho=0.25)))
     assert [(v.constraint, v.condition) for v in report.violations] == [
-        (6, "bounding row mismatch"), (6, "center feasibility a.h <= b")
+        (-1, "(n-1)*alpha + alpha/2 finite")
     ]
 
 

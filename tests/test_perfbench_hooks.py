@@ -45,7 +45,8 @@ def test_tracer_wraps_every_hook_and_restores_it():
         tracer.uninstall()
 
     assert traced == plain
-    assert {span[1] for span in tracer.spans} >= {"rng", "geometry.any_alike", "support"}
+    # nothing on this path builds the bounding rows, so no support span
+    assert {span[1] for span in tracer.spans} >= {"rng", "geometry.any_alike"}
     for owner in owners:
         after = vars(owner)
         assert after.keys() == before[owner].keys()

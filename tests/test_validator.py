@@ -71,6 +71,28 @@ def test_duplicate_random_row_flagged_alike(demo_instance):
     assert f"constraint {first_random}" in alike[0].condition
 
 
+def test_a_row_alike_to_the_canonical_diagonal_is_reported_once(demo_instance):
+    inst = demo_instance
+    diag = inst.row(2 * inst.n)
+    bad = replace(inst, random=inst.random + (Inequality(2.0 * diag.a, 2.0 * diag.b),))
+    alike = alike_violations(validate_instance(bad))
+    assert alike == [(bad.m - 1, f"alike with constraint {2 * inst.n}")]
+
+
+def test_a_row_alike_to_an_edited_bounding_row_is_reported_once(demo_instance):
+    # row 0 re-spelled with a -0.0 is an edit, stacked with the random rows,
+    # while the screen still pairs the doubled row with canonical row 0
+    inst = demo_instance
+    alpha = inst.params.alpha
+    respelled = Inequality([1.0] + [-0.0] * (inst.n - 1), alpha)
+    doubled = Inequality(2.0 * respelled.a, 2.0 * alpha)
+    bad = replace(inst, support=(respelled,) + inst.support[1:],
+                  random=inst.random + (doubled,))
+    assert bad.bounding.edits.keys() == {0}
+    alike = alike_violations(validate_instance(bad))
+    assert alike == [(bad.m - 1, "alike with constraint 0")]
+
+
 def test_pulled_in_row_breaks_feasibility_or_band(demo_instance):
     q = demo_instance.random[0]
     norm = float(np.linalg.norm(q.a))
