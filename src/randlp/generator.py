@@ -51,7 +51,7 @@ from .model import (
     refuse,
     validate_params,
 )
-from .rng import RngStream, derive_stream, scale_units, words_to_signs, words_to_units
+from .rng import RngStream, derive_stream, words_to_signs, words_to_units
 
 
 class CandidateVerdict(enum.Enum):
@@ -69,24 +69,32 @@ class GenerationStalledError(RuntimeError):
         self.stats = stats
 
 
+def _candidate_rows(words: np.ndarray, params: GeneratorParams) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (a, b) of the candidates whose 2n+2 words lie along the last
+    axis of ``words``: n+1 sign words, then n+1 unit words, each value
+    ``sign * (r * unit)`` with r = a_max for a and b_max for b."""
+    n = params.n
+    signs = words_to_signs(words[..., : n + 1])
+    units = words_to_units(words[..., n + 1 :])
+    a = signs[..., :n] * (params.a_max * units[..., :n])
+    b = signs[..., n] * (params.b_max * units[..., n])
+    return a, b
+
+
 def draw_candidate(stream: RngStream, params: GeneratorParams, h: np.ndarray) -> Inequality:
     """Draw one random inequality, already flipped to keep h feasible.
 
-    Reads 2n+2 words per candidate in one ``raw_words`` call: n+1 signs,
-    then n+1 magnitudes, through ``words_to_signs``, ``words_to_units`` and
-    ``scale_units``.  An all-zero coefficient row is redrawn internally and
-    never surfaces; params that ``validate_params`` refuses raise
-    ``ParameterError`` first, so an ``a_max`` whose square is 0 cannot
-    redraw forever.
+    Reads 2n+2 words per candidate in one ``raw_words`` call and maps them
+    with ``_candidate_rows``, the map the engines apply to whole blocks.  An
+    all-zero coefficient row is redrawn internally and never surfaces;
+    params that ``validate_params`` refuses raise ``ParameterError`` first,
+    so an ``a_max`` whose square is 0 cannot redraw forever.
     """
     refuse(validate_params(params))
     n = params.n
     while True:
-        words = stream.raw_words(2 * n + 2)
-        signs = words_to_signs(words[: n + 1])
-        units = words_to_units(words[n + 1 :])
-        a = signs[:n] * scale_units(units[:n], 0.0, params.a_max)
-        b = float(signs[n] * scale_units(units[n], 0.0, params.b_max))
+        a, b = _candidate_rows(stream.raw_words(2 * n + 2), params)
+        b = float(b)
         if float(row_sumsq(a)) == 0.0:
             continue
         if float(row_dots(a, h)) > b:
@@ -169,14 +177,10 @@ class _Producer:
 
     def _next_block(self) -> None:
         p = self._p
-        n = p.n
         size = self._size
         self._size = min(2 * size, self._cap)
         w = self._stream.raw_words(size * self._words_per).reshape(size, self._words_per)
-        signs = words_to_signs(w[:, : n + 1])
-        units = words_to_units(w[:, n + 1 :])
-        a = signs[:, :n] * scale_units(units[:, :n], 0.0, p.a_max)
-        b = signs[:, n] * scale_units(units[:, n], 0.0, p.b_max)
+        a, b = _candidate_rows(w, p)
 
         ah = row_dots(a, self._h)
         flip = ah > b

@@ -58,14 +58,14 @@ class GeneratorParams:
 _L_MAX_CAP = 0.7
 
 
-def _positive_finite(p: GeneratorParams, names) -> list[str]:
+def _positive_finite(p: GeneratorParams, names) -> list[tuple[str, float, object]]:
     out = []
     for name in names:
         value = getattr(p, name)
         if not value > 0:
-            out.append(f"{name} > 0")
+            out.append((f"{name} > 0", value, 0.0))
         if not math.isfinite(value):
-            out.append(f"{name} finite")
+            out.append((f"{name} finite", value, "finite"))
     return out
 
 
@@ -109,6 +109,24 @@ def support_only_solution(n: int, alpha: float) -> np.ndarray:
     return x
 
 
+def stored_violations(p: GeneratorParams) -> list[tuple[str, float, object]]:
+    """The conditions of ``validate_params`` on alpha and theta, which an
+    instance file stores, and on the diagonal right-hand side they give:
+    each one p violates, as (condition, measured, bound)."""
+    out = _positive_finite(p, ("alpha", "theta"))
+    if not p.theta <= p.alpha / 2:
+        out.append(("theta <= alpha/2", p.theta, p.alpha / 2))
+    # The diagonal bounding row's right-hand side; with theta <= alpha/2 it
+    # also bounds every objective coefficient theta*k, k <= n.
+    try:
+        diagonal = diagonal_rhs(p.n, p.alpha)
+    except OverflowError:  # n itself is beyond the float range
+        diagonal = math.inf
+    if p.n >= 1 and math.isfinite(p.alpha) and not math.isfinite(diagonal):
+        out.append(("(n-1)*alpha + alpha/2 finite", diagonal, "finite"))
+    return out
+
+
 def bound_violations(p: GeneratorParams) -> list[str]:
     """The conditions of ``validate_params`` on rho, l_max and s_min, the
     acceptance bounds an instance file does not store; ``rho < theta`` and
@@ -119,7 +137,7 @@ def bound_violations(p: GeneratorParams) -> list[str]:
     # an infinite rho is reported as "rho finite" alone
     if stored_usable and math.isfinite(p.rho) and not p.rho < p.theta:
         out.append("rho < theta")
-    out += _positive_finite(p, ("rho", "l_max", "s_min"))
+    out += [cond for cond, _, _ in _positive_finite(p, ("rho", "l_max", "s_min"))]
     if not p.l_max <= _L_MAX_CAP:
         out.append(f"l_max <= {_L_MAX_CAP}")
     # At n = 1 the bounding rows x <= alpha and x <= alpha/2 share a unit
@@ -140,21 +158,11 @@ def validate_params(p: GeneratorParams) -> list[str]:
         out.append("n >= 1")
     if p.d < 0:
         out.append("d >= 0")
-    out += _positive_finite(p, ("alpha", "theta", "a_max", "b_max"))
+    out += [cond for cond, _, _ in stored_violations(p) + _positive_finite(p, ("a_max", "b_max"))]
     # Every coefficient at most a_max squares to 0 here: each draw is a
     # zero-norm row, skipped without counting toward the stall budget.
     if 0 < p.a_max < math.inf and p.a_max * p.a_max == 0:
         out.append("a_max*a_max > 0")
-    if not p.theta <= p.alpha / 2:
-        out.append("theta <= alpha/2")
-    # The diagonal bounding row's right-hand side; with theta <= alpha/2 it
-    # also bounds every objective coefficient theta*k, k <= n.
-    try:
-        diagonal = diagonal_rhs(p.n, p.alpha)
-    except OverflowError:  # n itself is beyond the float range
-        diagonal = math.inf
-    if p.n >= 1 and math.isfinite(p.alpha) and not math.isfinite(diagonal):
-        out.append("(n-1)*alpha + alpha/2 finite")
     out += bound_violations(p)
     if not 0 <= p.seed < 2**64:
         out.append("0 <= seed < 2**64")
@@ -419,6 +427,12 @@ class LPInstance:
             and np.array_equal(self.random_b, other.random_b)
             and np.array_equal(self.c, other.c)
         )
+
+    def __repr__(self):
+        # the dataclass repr would build and cache every row
+        p = self.params
+        return (f"LPInstance(n={self.n}, d={self.d}, alpha={p.alpha!r}, seed={p.seed}, "
+                f"edits={len(self.bounding.edits)})")
 
 
 @dataclass(frozen=True)

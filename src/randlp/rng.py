@@ -5,11 +5,14 @@ SeedSequence spawn mechanism, so distinct ids yield statistically independent
 streams and the same pair always yields the same stream, across platforms.
 
 A stream hands out raw 64-bit words only (``RngStream.raw_words``); a draw
-is one of the word functions applied to them, one word per value:
+is the word functions applied to them, one word per sign and one per unit:
 
-    sign  = 1 - 2 * (word & 1)                 words_to_signs
+    sign  = 1.0 - 2.0 * (word & 1)             words_to_signs
     unit  = (word >> 11) / (2**53 - 1)         words_to_units, on [0, 1]
-    real  = clip(l + (r - l) * unit, l, r)     scale_units
+    value = sign * (r * unit)                  on [-r, r]
+
+``r * unit`` lies on [0, r] without a clip: rounding is monotone and
+``r * 1.0`` is r.  The sign then flips it exactly, to -0.0 for unit 0.
 
 Fixed word-per-draw accounting is what lets callers draw candidates in large
 blocks while remaining bit-identical to one-at-a-time drawing.
@@ -23,19 +26,13 @@ _FULL = 1 << 64
 
 
 def words_to_signs(words: np.ndarray) -> np.ndarray:
-    """Map raw words to +1/-1 via their low bit."""
-    bits = (words & np.uint64(1)).astype(np.int64)
-    return 1 - 2 * bits
+    """Map raw words to +1.0/-1.0 via their low bit."""
+    return 1.0 - 2.0 * (words & np.uint64(1))
 
 
 def words_to_units(words: np.ndarray) -> np.ndarray:
     """Map raw words to floats covering [0, 1] on a 2**53-point grid."""
     return (words >> np.uint64(11)) / _MAX53
-
-
-def scale_units(units, l: float, r: float):
-    """Affine map of unit draws onto [l, r], clipped against rounding spill."""
-    return np.clip(l + (r - l) * units, l, r)
 
 
 class RngStream:

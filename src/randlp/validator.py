@@ -43,8 +43,8 @@ from .model import (
     bound_violations,
     build_objective,
     build_support,
-    diagonal_rhs,
     refuse,
+    stored_violations,
     support_only_solution,
 )
 
@@ -96,30 +96,18 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     they are finite, nonzero and hold at the center (alpha/2, ...,
     alpha/2).  A diagonal right-hand side that overflows is structural,
     as ``validate_params`` states it, and ends the check.  The violations
-    come out in row order too: structural (with the conditions of
-    ``validate_params`` on the alpha and theta that a file stores, and on
-    the diagonal they give), bounding rows and objective, non-finite rows,
-    zero rows, then per row its center feasibility, distance band and
-    objective improvement, then the alike pairs.
+    come out in row order too: structural (``stored_violations``, the
+    conditions of ``validate_params`` on the alpha and theta that a file
+    stores and on the diagonal they give), bounding rows and objective,
+    non-finite rows, zero rows, then per row its center feasibility,
+    distance band and objective improvement, then the alike pairs.
     """
     p = inst.params
     refuse(bound_violations(p))
-    out: list[Violation] = []
     n = inst.n
     block = inst.bounding
 
-    # the conditions of validate_params on the parameters a file stores
-    for name in ("alpha", "theta"):
-        value = getattr(p, name)
-        if not value > 0:
-            out.append(Violation(-1, f"{name} > 0", value, 0.0))
-        if not math.isfinite(value):
-            out.append(Violation(-1, f"{name} finite", value, "finite"))
-    if not p.theta <= p.alpha / 2:
-        out.append(Violation(-1, "theta <= alpha/2", p.theta, p.alpha / 2))
-    diagonal = diagonal_rhs(n, p.alpha)
-    if math.isfinite(p.alpha) and not math.isfinite(diagonal):
-        out.append(Violation(-1, "(n-1)*alpha + alpha/2 finite", diagonal, "finite"))
+    out = [Violation(-1, *v) for v in stored_violations(p)]
     if out:
         return ValidationReport(False, tuple(out))
 
@@ -239,7 +227,9 @@ def _pairwise_likeness_violations(inst, xi, stack, screen, l_max, s_min):
     """
     pairs = list(_stack_pairs(xi, stack, l_max, s_min))
     k, i = screen.pairs(stack)
-    closed = ~np.isin(i, list(inst.bounding.edits))
+    edited = np.zeros(2 * inst.n + 1, dtype=bool)
+    edited[list(inst.bounding.edits)] = True
+    closed = ~edited[i]
     x, i = xi[k[closed]], i[closed]
     pairs.append((np.minimum(x, i), np.maximum(x, i)))
     ii, jj = (np.concatenate(x) for x in zip(*pairs))

@@ -30,7 +30,7 @@ from randlp import (
     validate_instance,
     verify_support_solution,
 )
-from randlp.rng import scale_units, words_to_units
+from randlp.rng import words_to_units
 
 
 @contextmanager
@@ -154,8 +154,9 @@ def test_criterion_05_direction_gap_identity():
     ) as note:
         t0 = time.perf_counter()
         s = derive_stream(0, 0)
-        phi = scale_units(words_to_units(s.raw_words(10_000)), 1e-9, np.pi - 1e-9)
-        beta = scale_units(words_to_units(s.raw_words(10_000)), 0.0, 2.0 * np.pi)
+        lo, hi = 1e-9, np.pi - 1e-9
+        phi = lo + (hi - lo) * words_to_units(s.raw_words(10_000))
+        beta = 2.0 * np.pi * words_to_units(s.raw_words(10_000))
         e1 = np.stack([np.cos(beta), np.sin(beta)], axis=1)
         e2 = np.stack([np.cos(beta + phi), np.sin(beta + phi)], axis=1)
         gap = np.sqrt(((e1 - e2) ** 2).sum(axis=1))

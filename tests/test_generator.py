@@ -23,9 +23,10 @@ from randlp import (
     instance_to_text,
     validate_instance,
 )
+from randlp.generator import _candidate_rows
 from randlp.geometry import row_sumsq
 from randlp.model import BoundingBlock
-from randlp.rng import scale_units, words_to_units
+from randlp.rng import words_to_units
 
 from conftest import make_params
 
@@ -477,5 +478,39 @@ def test_runs_with_many_screen_rejections_are_pinned(kwargs, outcome, counters):
 
 def test_zero_norm_draws_are_common_at_a_tiny_a_max():
     words = derive_stream(3, 0).raw_words(4 * 4000).reshape(4000, 4)
-    a = scale_units(words_to_units(words[:, 2:3]), 0.0, ZERO_NORM.a_max)
+    a = ZERO_NORM.a_max * words_to_units(words[:, 2:3])
     assert int(np.count_nonzero(row_sumsq(a) == 0.0)) == 613
+
+
+def former_word_map(sign_words, unit_words, r):
+    """The word map as rng's int64 signs and clipped ``scale_units`` onto
+    [0, r] defined it."""
+    signs = 1 - 2 * (sign_words & np.uint64(1)).astype(np.int64)
+    units = (unit_words >> np.uint64(11)) / float(2**53 - 1)
+    return signs * np.clip(0.0 + r * units, 0.0, r)
+
+
+# words whose unit (w >> 11) is 0 or 2**53 - 1, each with either low bit
+EDGE_WORDS = [0, 1, 2, 3, UNIT_WORD[1], UNIT_WORD[1] | 1, 2**64 - 2, 2**64 - 1]
+
+
+@pytest.mark.parametrize("r", [1000.0, 10000.0, 1e-160, 1e300, 5e-324, np.finfo(float).max])
+def test_candidate_rows_equal_the_former_word_map_bitwise(r):
+    n = 3
+    params = GeneratorParams(n=n, a_max=r, b_max=r)
+    # every edge sign word against every edge unit word, then random words
+    edges = np.array([[s] * (n + 1) + [u] * (n + 1) for s in EDGE_WORDS for u in EDGE_WORDS],
+                     dtype=np.uint64)
+    drawn = derive_stream(5, 0).raw_words(64 * (2 * n + 2)).reshape(64, -1)
+    words = np.concatenate([edges, drawn])
+    a, b = _candidate_rows(words, params)
+    want = former_word_map(words[:, : n + 1], words[:, n + 1 :], r)
+    assert np.array_equal(a.view(np.uint64), want[:, :n].view(np.uint64))
+    assert np.array_equal(b.view(np.uint64), want[:, n].view(np.uint64))
+    # the edge words give both zeros and both ends
+    ends = np.array([0.0, -0.0, r, -r]).view(np.uint64)
+    assert set(ends.tolist()) <= set(a[: len(edges)].view(np.uint64).ravel().tolist())
+    for k in range(len(words)):
+        ak, bk = _candidate_rows(words[k], params)
+        assert np.array_equal(ak.view(np.uint64), a[k].view(np.uint64))
+        assert np.float64(bk).view(np.uint64) == b[k].view(np.uint64)

@@ -353,3 +353,14 @@ def test_an_unknown_attribute_is_an_attribute_error():
     inst, _ = generate_sequential(GeneratorParams(n=2, d=1, seed=1))
     assert not hasattr(inst, "nope")
     assert "nope" not in vars(inst)
+
+
+def test_repr_names_the_instance_and_builds_no_row(monkeypatch):
+    inst, _ = generate_sequential(GeneratorParams(n=2000, d=5, seed=1))
+
+    def refused(self, i):
+        raise AssertionError("repr built a bounding row")
+
+    monkeypatch.setattr(BoundingBlock, "row", refused)
+    assert repr(inst) == "LPInstance(n=2000, d=5, alpha=200.0, seed=1, edits=0)"
+    assert "support" not in vars(inst) and "random" not in vars(inst)
