@@ -13,15 +13,19 @@ every value through the same row kernels, so the accept/reject decisions,
 stats, and output instances match a one-at-a-time replay exactly.  A
 producer's three checks depend on the candidate alone, so each runs once
 over a block: the distance band and objective improvement over all its
-candidates, then likeness to the bounding rows over the survivors of those
-two, with ``BoundingScreen.alike_rows``, which gives the
-verdict of a dense index of the bounding rows without storing them.  A block
-is then only its rows ``a`` and ``b`` and one fate code per candidate; the
-producer hands out its survivors in stream order and tallies the fates of the
-rows they consume.  The coordinator's check against the accepted rows runs
-over a batch too: the survivors the producers' current blocks already hold,
-taken in protocol order, are judged in one ``SimilarityIndex.any_alike``
-call, which gives the verdicts of judging them one at a time.
+candidates, from one ``geometry.center_terms`` call, then likeness to the
+bounding rows over the survivors of those two, with
+``BoundingScreen.alike_rows``, which gives the verdict of a dense index of
+the bounding rows without storing them.  A row and its negation have the
+same distance and projection, so a producer decides those two fates before
+the flip and flips only the rows it screens, where the reference flips every
+draw.  A block is then only its survivors' rows ``a`` and ``b`` and one fate
+code per candidate; the producer hands out its survivors in stream order and
+tallies the fates of the rows they consume.  The coordinator's check against
+the accepted rows runs over a batch too: the survivors the producers' current
+blocks already hold, taken in protocol order, are judged in one
+``SimilarityIndex.any_alike`` call, which gives the verdicts of judging them
+one at a time.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ import numpy as np
 from .geometry import (
     BoundingScreen,
     SimilarityIndex,
+    center_terms,
     distance_to_center,
     hypercube_center,
     objective_value,
@@ -88,7 +93,9 @@ def draw_candidate(stream: RngStream, params: GeneratorParams, h: np.ndarray) ->
     with ``_candidate_rows``, the map the engines apply to whole blocks.  An
     all-zero coefficient row is redrawn internally and never surfaces;
     params that ``validate_params`` refuses raise ``ParameterError`` first,
-    so an ``a_max`` whose square is 0 cannot redraw forever.
+    so an ``a_max`` whose square is 0 cannot redraw forever, and no draw's
+    arithmetic overflows.  The flip happens here, at draw time, as the
+    reference order has it; the engines flip only the rows they screen.
     """
     refuse(validate_params(params))
     n = params.n
@@ -138,13 +145,16 @@ class _Producer:
     three checks and tallying every candidate's fate on the way.
 
     The checks run vectorized over a block: distance band and objective
-    improvement over all its candidates, then likeness to the bounding rows
-    over the survivors of those two, in one ``BoundingScreen.alike_rows``
-    call.  Blocks start at 64 candidates and double up to a cap of about
-    256k words, so a producer that needs few survivors (one of many
-    workers, or a small d) draws little beyond them.  Blocks are consecutive
-    slices of the stream, so the size schedule never changes which words a
-    candidate gets.
+    improvement over all its candidates, from one ``center_terms`` call and
+    before any flip, then likeness to the bounding rows over the survivors
+    of those two, in one ``BoundingScreen.alike_rows`` call.  Only those
+    screened rows are flipped to keep h feasible: the distance and the
+    projection of a row and its negation agree bit for bit, so the fates are
+    those of the reference, which flips at draw time.  Blocks start at 64
+    candidates and double up to a cap of about 256k words, so a producer
+    that needs few survivors (one of many workers, or a small d) draws
+    little beyond them.  Blocks are consecutive slices of the stream, so the
+    size schedule never changes which words a candidate gets.
     """
 
     def __init__(
@@ -166,10 +176,10 @@ class _Producer:
         self._cap = max(16, min(4096, 262144 // words_per))
         self._size = min(64, self._cap)
         self.tally = np.zeros(5, dtype=np.int64)  # indexed by fate
-        # The current block, set by _next_block: rows a and b, one fate code
-        # each, the examined draws before each row, the survivor positions,
-        # and a cursor of survivors handed out and rows tallied.  It starts
-        # empty, so the first refill draws.
+        # The current block, set by _next_block: its survivors' rows a and b,
+        # one fate code per row, the examined draws before each row, the
+        # survivor positions, and a cursor of survivors handed out and rows
+        # tallied.  It starts empty, so the first refill draws.
         self._code = np.zeros(0, dtype=np.uint8)
         self._examined = np.zeros(1, dtype=np.int64)
         self._survivors = np.zeros(0, dtype=np.intp)
@@ -182,35 +192,26 @@ class _Producer:
         w = self._stream.raw_words(size * self._words_per).reshape(size, self._words_per)
         a, b = _candidate_rows(w, p)
 
-        ah = row_dots(a, self._h)
-        flip = ah > b
-        a[flip] *= -1.0
-        b[flip] *= -1.0
-        ah[flip] *= -1.0
-
-        nsq = row_sumsq(a)
-        nonzero = nsq > 0.0
-        dist = np.full(size, np.nan)
-        np.divide(b - ah, np.sqrt(nsq), out=dist, where=nonzero)
-
+        # every fate is decided before the flip: a row and its negation have
+        # the same distance and projection, so only the screened rows flip
+        ah, nsq, dist, t = center_terms(a, b, self._h)
         code = np.zeros(size, dtype=np.uint8)
         in_band = (dist > p.rho) & (dist <= p.theta)
-        code[nonzero & ~in_band] = _REJ_DIST
-        stage2 = np.nonzero(in_band)[0]
-        if stage2.size:
-            t = (ah[stage2] - b[stage2]) / nsq[stage2]
-            proj = self._h - t[:, None] * a[stage2]
-            improves = row_dots(proj, self._c) > self._f_h
-            code[stage2[~improves]] = _REJ_OBJ
-            stage3 = stage2[improves]
-            alike = self._screen.alike_rows(a[stage3], b[stage3])
-            code[stage3[alike]] = _REJ_SIM
-            code[stage3[~alike]] = _SURVIVOR
+        code[(nsq > 0.0) & ~in_band] = _REJ_DIST
+        stage2 = np.flatnonzero(in_band)
+        improves = row_dots(self._h - t[stage2, None] * a[stage2], self._c) > self._f_h
+        code[stage2[~improves]] = _REJ_OBJ
+        stage3 = stage2[improves]
+        sign = np.where(ah[stage3] > b[stage3], -1.0, 1.0)
+        a, b = a[stage3] * sign[:, None], b[stage3] * sign
+        alike = self._screen.alike_rows(a, b)
+        code[stage3] = np.where(alike, _REJ_SIM, _SURVIVOR)
 
-        self._a, self._b, self._code = a, b, code
+        # the block keeps only its survivors' rows, in stream order
+        self._a, self._b, self._code = a[~alike], b[~alike], code
         self._examined = np.zeros(size + 1, dtype=np.int64)
         np.cumsum(code != _SKIP, out=self._examined[1:])
-        self._survivors = np.flatnonzero(code == _SURVIVOR)
+        self._survivors = stage3[~alike]
         self._si = self._done = 0
 
     def _consume(self, end: int) -> None:
@@ -242,9 +243,9 @@ class _Producer:
         """The next ``count`` survivors of the current block, not yet handed
         out: rows a and b, and the examined draws after the previous one (or
         the cursor) up to and including each."""
-        rows = self._survivors[self._si : self._si + count]
-        draws = np.diff(self._examined[np.concatenate(([self._done], rows + 1))])
-        return self._a[rows], self._b[rows], draws
+        at = slice(self._si, self._si + count)
+        draws = np.diff(self._examined[np.concatenate(([self._done], self._survivors[at] + 1))])
+        return self._a[at], self._b[at], draws
 
     def take(self, count: int) -> None:
         """Hand out the next ``count`` survivors, tallying the rows up to and

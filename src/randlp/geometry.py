@@ -4,7 +4,10 @@ Every dot product or norm whose value feeds an accept/reject comparison goes
 through ``row_dots`` / ``row_sumsq`` below.  Both work on a single vector or
 on a stack of rows, and numpy's pairwise reduction makes the row-batched
 result bit-identical to the one-row result, so the batched engines and the
-scalar public operations can never disagree on a strict comparison.
+scalar public operations can never disagree on a strict comparison.  The
+distance of h to a row's hyperplane and the projection of h onto it come
+from ``center_terms`` alone, for the engines, the validator and the scalar
+operations alike.
 """
 from __future__ import annotations
 
@@ -38,20 +41,37 @@ def objective_value(c: np.ndarray, x: np.ndarray) -> float:
     return float(row_dots(np.asarray(c, dtype=np.float64), np.asarray(x, dtype=np.float64)))
 
 
+def center_terms(a: np.ndarray, b, h: np.ndarray):
+    """<a,h>, ||a||^2, the distance |<a,h> - b| / ||a|| from h to the
+    hyperplane a.x = b, and the step t = (<a,h> - b) / ||a||^2, for one row
+    or for each row of a 2-D stack with its entry of ``b``; the projection
+    of h onto the hyperplane is h - t*a.
+
+    Negation is exact and commutes with every rounding here, so a row and
+    its negation (-a, -b) get the same distance and the same h - t*a bit for
+    bit.  A zero row, or one whose sums overflow, gives a non-finite value
+    and no warning.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ah = row_dots(a, h)
+        nsq = row_sumsq(a)
+        excess = ah - b
+        return ah, nsq, np.abs(excess) / np.sqrt(nsq), excess / nsq
+
+
 def distance_to_center(h: np.ndarray, q: Inequality) -> float:
     """Distance |<a,h> - b| / ||a|| from h to the hyperplane a.x = b."""
-    nrm = float(row_norms(q.a))
-    if nrm == 0.0:
+    _, nsq, dist, _ = center_terms(q.a, q.b, h)
+    if nsq == 0.0:
         raise ValueError("zero-norm coefficient vector has no hyperplane")
-    return float(abs(row_dots(q.a, h) - q.b)) / nrm
+    return float(dist)
 
 
 def project_center(h: np.ndarray, q: Inequality) -> np.ndarray:
     """Orthogonal projection of h onto the hyperplane a.x = b."""
-    nsq = float(row_sumsq(q.a))
+    _, nsq, _, t = center_terms(q.a, q.b, h)
     if nsq == 0.0:
         raise ValueError("zero-norm coefficient vector has no hyperplane")
-    t = (float(row_dots(q.a, h)) - q.b) / nsq
     return h - t * q.a
 
 

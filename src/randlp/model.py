@@ -69,6 +69,14 @@ def _positive_finite(p: GeneratorParams, names) -> list[tuple[str, float, object
     return out
 
 
+def _as_float(value) -> float:
+    """value(), or inf when an int in it is beyond the float range."""
+    try:
+        return value()
+    except OverflowError:
+        return math.inf
+
+
 def diagonal_rhs(n: int, alpha: float) -> float:
     """Right-hand side of the diagonal bounding row: (n-1)*alpha + alpha/2."""
     return (n - 1) * alpha + alpha / 2
@@ -118,10 +126,7 @@ def stored_violations(p: GeneratorParams) -> list[tuple[str, float, object]]:
         out.append(("theta <= alpha/2", p.theta, p.alpha / 2))
     # The diagonal bounding row's right-hand side; with theta <= alpha/2 it
     # also bounds every objective coefficient theta*k, k <= n.
-    try:
-        diagonal = diagonal_rhs(p.n, p.alpha)
-    except OverflowError:  # n itself is beyond the float range
-        diagonal = math.inf
+    diagonal = _as_float(lambda: diagonal_rhs(p.n, p.alpha))
     if p.n >= 1 and math.isfinite(p.alpha) and not math.isfinite(diagonal):
         out.append(("(n-1)*alpha + alpha/2 finite", diagonal, "finite"))
     return out
@@ -152,6 +157,12 @@ def validate_params(p: GeneratorParams) -> list[str]:
 
     Each entry names the condition itself, e.g. ``"theta <= alpha/2"`` means
     that condition does not hold for p.
+
+    A drawn row's sum of squares is at most n*a_max^2, and |<a,h> - b| at
+    most n*a_max*alpha/2 + b_max.  Rounding raises each computed value above
+    its bound by a relative (1 + 2^-53)^(n+1) - 1 at most, which is below 1
+    for every n below 2^52, so twice each bound is required finite: <a,h>,
+    ||a||^2 and <a,h> - b of every draw are then finite.
     """
     out: list[str] = []
     if p.n < 1:
@@ -163,6 +174,11 @@ def validate_params(p: GeneratorParams) -> list[str]:
     # zero-norm row, skipped without counting toward the stall budget.
     if 0 < p.a_max < math.inf and p.a_max * p.a_max == 0:
         out.append("a_max*a_max > 0")
+    if p.n >= 1 and all(0 < x < math.inf for x in (p.alpha, p.a_max, p.b_max)):
+        if not math.isfinite(_as_float(lambda: 2 * p.n * p.a_max * p.a_max)):
+            out.append("2*n*a_max*a_max finite")
+        if not math.isfinite(_as_float(lambda: 2 * (p.n * p.a_max * p.alpha / 2 + p.b_max))):
+            out.append("2*(n*a_max*alpha/2 + b_max) finite")
     out += bound_violations(p)
     if not 0 <= p.seed < 2**64:
         out.append("0 <= seed < 2**64")

@@ -6,7 +6,8 @@ improvement, and pairwise dissimilarity.  Strict acceptance conditions
 (distance > rho, improvement) are checked strictly with no slack; non-strict
 bounds get a relative slack of 1e-9 so serialization round-trips can never
 flip them.  All strict comparisons go through the same row kernels the
-generator used, so a generated instance validates bit-for-bit.
+generator used, the distance and the projection through its
+``center_terms``, so a generated instance validates bit-for-bit.
 
 All checks share one stack of the rows the instance does not hold in
 closed form, the edited bounding rows and the random rows, in row order:
@@ -28,6 +29,7 @@ import numpy as np
 
 from .geometry import (
     BoundingScreen,
+    center_terms,
     hypercube_center,
     likeness,
     near_pairs,
@@ -52,8 +54,10 @@ _SLACK = 1e-9
 
 
 def _within(x, bound):
-    """Non-strict x <= bound with relative slack, elementwise."""
-    return x <= bound + _SLACK * np.maximum(1.0, np.abs(bound))
+    """Non-strict x <= bound with relative slack, elementwise; a bound whose
+    slack overflows is infinite, and a nan on either side fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x <= bound + _SLACK * np.maximum(1.0, np.abs(bound))
 
 
 @dataclass(frozen=True)
@@ -99,8 +103,11 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     come out in row order too: structural (``stored_violations``, the
     conditions of ``validate_params`` on the alpha and theta that a file
     stores and on the diagonal they give), bounding rows and objective,
-    non-finite rows, zero rows, then per row its center feasibility,
-    distance band and objective improvement, then the alike pairs.
+    non-finite rows, rows of finite coefficients whose sum of squares
+    overflows, zero rows, then per row its center feasibility, distance band
+    and objective improvement, then the alike pairs.  <a,h>, the distance and
+    the projection step of every stacked row come from one ``center_terms``
+    call.
     """
     p = inst.params
     refuse(bound_violations(p))
@@ -130,50 +137,39 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
         X[k], B[k] = block.edits[i].a, block.edits[i].b
     X[r:] = inst.random_a
     B[r:] = inst.random_b
-    sumsq = row_sumsq(X)
-    norms = np.sqrt(sumsq)  # row_norms of each row
-    # A nan or inf coefficient makes the norm non-finite, and so can a sum of
-    # squares that overflows: recheck those rows coefficient by coefficient.
-    finite = np.isfinite(norms) & np.isfinite(B)
-    for k in np.flatnonzero(~finite):
-        finite[k] = math.isfinite(B[k]) and bool(np.isfinite(X[k]).all())
-    for i in xi[~finite].tolist():
-        out.append(Violation(i, "finite coefficients", "nan or inf", "finite"))
-    for i in xi[finite & (norms == 0.0)].tolist():
-        out.append(Violation(i, "nonzero coefficient norm", 0.0, "> 0"))
-    usable = finite & (norms > 0.0)
-    # an unusable row is zeroed, so none of its nan or inf reaches the
-    # arithmetic below, and its results are masked
-    X[~usable] = 0.0
-    B[~usable] = 0.0
-
     h = hypercube_center(n, p.alpha)
     f_h = objective_value(inst.c, h)
-    ah = row_dots(X, h)
-    # distance band and objective improvement apply to the random rows,
-    # X[r:], only
-    # a one-row check did this arithmetic on Python floats, which overflow,
-    # and divide inf by inf, without a warning; a zeroed row divides 0 by 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        feasible = _within(ah, B)
-        excess = ah[r:] - B[r:]
-        dist = np.abs(excess) / norms[r:]
-        above_rho = dist > p.rho
-        below_theta = _within(dist, p.theta)
-        t = excess / sumsq[r:]
-    # the projection of h onto each random row's hyperplane
-    f_proj = row_dots(h - t[:, None] * X[r:], inst.c)
+    ah, sumsq, dist, t = center_terms(X, B, h)
+    finite = np.isfinite(X).all(axis=1) & np.isfinite(B)
+    for i in xi[~finite].tolist():
+        out.append(Violation(i, "finite coefficients", "nan or inf", "finite"))
+    # finite coefficients whose sum of squares overflows
+    for i in xi[finite & (sumsq == np.inf)].tolist():
+        out.append(Violation(i, "finite coefficient norm", math.inf, "finite"))
+    for i in xi[finite & (sumsq == 0.0)].tolist():
+        out.append(Violation(i, "nonzero coefficient norm", 0.0, "> 0"))
+    usable = finite & (sumsq > 0.0) & (sumsq < np.inf)
+    # an unusable row and its step are zeroed, so none of its nan or inf
+    # reaches the projection below, and its results are masked
+    X[~usable] = t[~usable] = 0.0
+
+    feasible = _within(ah, B)
+    above_rho = dist > p.rho
+    below_theta = _within(dist, p.theta)
+    # the projection of h onto each row's hyperplane
+    f_proj = row_dots(h - t[:, None] * X, inst.c)
     improves = f_proj > f_h
 
+    # distance band and objective improvement apply to the random rows,
+    # X[r:], only
     flagged = ~feasible
-    flagged[r:] |= ~(above_rho & below_theta & improves)
+    flagged[r:] |= ~(above_rho & below_theta & improves)[r:]
     for k in np.flatnonzero(flagged & usable).tolist():
         i = int(xi[k])
         if not feasible[k]:
             out.append(Violation(i, "center feasibility a.h <= b", float(ah[k]), float(B[k])))
         if k < r:
             continue
-        k -= r
         if not above_rho[k]:
             out.append(Violation(i, "distance > rho", float(dist[k]), p.rho))
         if not below_theta[k]:
@@ -184,6 +180,7 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
             )
 
     # unit rows and normalized offsets, in place: an unusable row stays zero
+    norms = np.sqrt(sumsq)
     norms[~usable] = 1.0
     X /= norms[:, None]
     B /= norms

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,8 +12,11 @@ from hypothesis import strategies as st
 from randlp import (
     GeneratorParams,
     ParameterError,
+    derive_stream,
+    draw_candidate,
     generate_parallel,
     generate_sequential,
+    hypercube_center,
     instance_to_text,
     read_instance,
     run_cli,
@@ -251,6 +255,48 @@ def test_gen_refuses_an_a_max_whose_square_underflows(capsys):
     assert validate_params(GeneratorParams(n=2, d=1, a_max=1e-200)) == ["a_max*a_max > 0"]
     assert run_cli(["gen", "--n", "2", "--d", "1", "--amax", "1e-200"]) == 2
     assert capsys.readouterr().err == "parameter violation: a_max*a_max > 0\n"
+
+
+OVERFLOWING = [
+    # a row's sum of squares overflows
+    (GeneratorParams(n=2, d=1, a_max=1e200, b_max=1e203), "2*n*a_max*a_max finite"),
+    # <a,h> overflows
+    (GeneratorParams(n=2, d=1, alpha=1e200, theta=1e199, rho=1e198, s_min=1e199, a_max=1e150,
+                     b_max=1e150), "2*(n*a_max*alpha/2 + b_max) finite"),
+]
+
+
+@pytest.mark.parametrize("params, violation", OVERFLOWING)
+def test_gen_refuses_params_whose_row_arithmetic_overflows(capsys, params, violation):
+    # refused before any draw, so no overflow warning and no stall
+    assert validate_params(params) == [violation]
+    for engine in (generate_sequential, generate_parallel):
+        for workers in (1, 2):
+            with pytest.raises(ParameterError, match=re.escape(violation)):
+                engine(replace(params, workers=workers))
+    with pytest.raises(ParameterError, match=re.escape(violation)):
+        draw_candidate(derive_stream(0, 0), params, hypercube_center(2, params.alpha))
+    flags = {"--alpha": params.alpha, "--theta": params.theta, "--rho": params.rho,
+             "--smin": params.s_min, "--amax": params.a_max, "--bmax": params.b_max}
+    argv = ["gen", "--n", "2", "--d", "1"] + [x for f, v in flags.items() for x in (f, repr(v))]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"parameter violation: {violation}\n"
+
+
+def test_validate_names_a_row_whose_norm_overflows(tmp_path, capsys):
+    # finite coefficients whose sum of squares overflows: one violation of
+    # its own and no other for that row; the suite's filter turns an
+    # overflow warning into a failure
+    out = tmp_path / "inst.txt"
+    assert run_cli(GEN + ["--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    lines[-2] = "1e300 -694.6 9050.6"
+    out.write_text("\n".join(lines) + "\n")
+    assert run_cli(["validate", "--in", str(out)]) == 1
+    row = read_instance_text(out.read_text()).m - 1
+    assert [x for x in capsys.readouterr().err.splitlines() if f"constraint {row}:" in x] == [
+        f"constraint {row}: finite coefficient norm (measured inf, bound finite)"
+    ]
 
 
 def test_validate_applies_the_n1_rule_as_gen_does(tmp_path, capsys):

@@ -24,7 +24,7 @@ from randlp import (
     validate_instance,
 )
 from randlp.generator import _candidate_rows
-from randlp.geometry import row_sumsq
+from randlp.geometry import center_terms, row_dots, row_sumsq
 from randlp.model import BoundingBlock
 from randlp.rng import words_to_units
 
@@ -514,3 +514,24 @@ def test_candidate_rows_equal_the_former_word_map_bitwise(r):
         ak, bk = _candidate_rows(words[k], params)
         assert np.array_equal(ak.view(np.uint64), a[k].view(np.uint64))
         assert np.float64(bk).view(np.uint64) == b[k].view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 400])
+def test_center_terms_agree_bitwise_for_a_row_and_its_negation(n):
+    # the producer decides distance and objective fates before it flips a
+    # row, so (a, b) and (-a, -b) must give the same distance and the same
+    # projection h - t*a, bit for bit
+    params = GeneratorParams(n=n)
+    edges = np.array([[s] * (n + 1) + [u] * (n + 1) for s in EDGE_WORDS for u in EDGE_WORDS],
+                     dtype=np.uint64)
+    drawn = derive_stream(7, 0).raw_words(64 * (2 * n + 2)).reshape(64, -1)
+    a, b = _candidate_rows(np.concatenate([edges, drawn]), params)
+    h = hypercube_center(n, params.alpha)
+    b[-1] = row_dots(a[-1], h)  # a hyperplane through the center
+    got = []
+    for rows, rhs in ((a, b), (-a, -b)):
+        _, _, dist, t = center_terms(rows, rhs, h)
+        got.append((dist.view(np.uint64), (h - t[:, None] * rows).view(np.uint64)))
+    assert np.array_equal(got[0][0], got[1][0])
+    assert np.array_equal(got[0][1], got[1][1])
+    assert got[0][0][-1] == 0  # +0.0

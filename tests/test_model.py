@@ -136,8 +136,9 @@ def test_n1_needs_bounding_rows_s_min_apart():
 
 
 def test_overflowing_diagonal_rhs_rejected():
-    # (n-1)*alpha + alpha/2 is 2.5e308 at n = 3 but 1.5e308 at n = 2
-    huge = dict(d=0, alpha=1e308, theta=1e307, rho=1e306, s_min=1e300)
+    # (n-1)*alpha + alpha/2 is 2.5e308 at n = 3 but 1.5e308 at n = 2; an
+    # a_max of 0.1 keeps 2*(n*a_max*alpha/2 + b_max) finite at both
+    huge = dict(d=0, alpha=1e308, theta=1e307, rho=1e306, s_min=1e300, a_max=0.1, b_max=1.0)
     assert validate_params(GeneratorParams(n=3, **huge)) == ["(n-1)*alpha + alpha/2 finite"]
     assert validate_params(GeneratorParams(n=2, **huge)) == []
     assert "(n-1)*alpha + alpha/2 finite" in validate_params(GeneratorParams(n=10**400))

@@ -347,7 +347,8 @@ def all_pairs_reference(inst):
     rows = inst.constraints
     p = inst.params
     usable = [i for i, q in enumerate(rows)
-              if np.isfinite(q.a).all() and math.isfinite(q.b) and float(row_norms(q.a)) > 0.0]
+              if np.isfinite(q.a).all() and math.isfinite(q.b)
+              and 0.0 < float(row_norms(q.a)) < math.inf]
     return [
         (j, f"alike with constraint {i}")
         for x, i in enumerate(usable)
@@ -362,8 +363,8 @@ def tampered_tall():
     # from there on and the 256-row block boundary falls between constraints
     # 256 and 257.  Injected alike pairs: (256, 257) across that boundary,
     # (5, 300) and (256, 290) from the first block into the second, a copy
-    # of bounding row 0 near the end, and (200, 320), two rows whose norms
-    # overflow, so that both unit normals are 0.
+    # of bounding row 0 near the end.  Rows 200 and 320 have norms that
+    # overflow, and such rows are masked: no pair holds them.
     inst, _ = generate_sequential(GeneratorParams(n=20, d=300, seed=0))
     rows = list(inst.constraints)
     rows[100] = Inequality(np.zeros(20), 1.0)
@@ -409,8 +410,8 @@ def test_blocked_pairs_match_all_pairs_reference(tampered_tall, unusable_boundin
                                                  monkeypatch):
     inst, want = tampered_tall
     assert {(257, "alike with constraint 256"), (300, "alike with constraint 5"),
-            (290, "alike with constraint 256"), (330, "alike with constraint 0"),
-            (320, "alike with constraint 200")} <= set(want)
+            (290, "alike with constraint 256"), (330, "alike with constraint 0")} <= set(want)
+    assert not any(j in (200, 320) or cond.endswith((" 200", " 320")) for j, cond in want)
     monkeypatch.setattr(validator, "_PAIR_BLOCK", block)
     rechecks = []
 
@@ -421,7 +422,6 @@ def test_blocked_pairs_match_all_pairs_reference(tampered_tall, unusable_boundin
     monkeypatch.setattr(validator, "likeness", counted)
     with np.errstate(over="ignore"):
         assert alike_violations(validate_instance(inst)) == want
-    # the overflowing rows lower only their own pairs' direction cut, so
     # the shortlist stays far below the 57,630 pairs
     assert len(rechecks) < inst.m
 
@@ -460,6 +460,7 @@ def test_validation_memory_grows_with_m_not_m_squared():
 
 ROW_CONDITIONS = {
     "finite coefficients",
+    "finite coefficient norm",
     "nonzero coefficient norm",
     "center feasibility a.h <= b",
     "distance > rho",
@@ -481,12 +482,14 @@ def per_row_reference(inst):
     finite = [bool(np.isfinite(q.a).all()) and math.isfinite(q.b) for q in rows]
     out = [(i, "finite coefficients", "nan or inf", "finite")
            for i in range(len(rows)) if not finite[i]]
+    out += [(i, "finite coefficient norm", math.inf, "finite")
+            for i in range(len(rows)) if finite[i] and norms[i] == math.inf]
     out += [(i, "nonzero coefficient norm", 0.0, "> 0")
             for i in range(len(rows)) if finite[i] and norms[i] == 0.0]
     h = hypercube_center(inst.n, p.alpha)
     f_h = objective_value(inst.c, h)
     for i, q in enumerate(rows):
-        if not (finite[i] and norms[i] > 0.0):
+        if not (finite[i] and 0.0 < norms[i] < math.inf):
             continue
         ah = float(row_dots(q.a, h))
         if not within(ah, q.b):
