@@ -93,7 +93,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     inst = read_instance(args.infile)
     params = dataclasses.replace(inst.params, rho=args.rho, l_max=args.l_max, s_min=args.s_min)
-    report = validate_instance(inst.with_params(params))
+    report = validate_instance(dataclasses.replace(inst, params=params))
     if report.ok:
         print("ok")
         return 0

@@ -403,9 +403,7 @@ def _generate(params: GeneratorParams, workers: int) -> tuple[LPInstance, Genera
     discarded = -steps % workers
     a = np.concatenate([rows for rows, _ in kept]) if kept else np.empty((0, n))
     b = np.concatenate([vs for _, vs in kept]) if kept else np.empty(0)
-    bounding = BoundingBlock.canonical(n, params.alpha)
-    instance = LPInstance.from_arrays(n, bounding, a, b, c, params)
-    return instance, stats()
+    return LPInstance(n, BoundingBlock.canonical(n, params.alpha), a, b, c, params), stats()
 
 
 def generate_sequential(params: GeneratorParams) -> tuple[LPInstance, GenerationStats]:

@@ -207,7 +207,7 @@ def read_instance(source) -> LPInstance:
     c = np.array(_floats(lines[1 + m], m + 2, n))
 
     params = GeneratorParams(n=n, d=d, seed=seed, alpha=alpha, theta=float(c[-1]))
-    return LPInstance.from_arrays(
+    return LPInstance(
         n, BoundingBlock.from_rows(n, alpha, rows), block[k:, :n], block[k:, n], c, params
     )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,8 +120,17 @@ def support_only_solution(n: int, alpha: float) -> np.ndarray:
 
 def stored_violations(p: GeneratorParams) -> list[tuple[str, float, object]]:
     """The conditions of ``validate_params`` on alpha and theta, which an
-    instance file stores, and on the diagonal right-hand side they give:
-    each one p violates, as (condition, measured, bound)."""
+    instance file stores, and on the diagonal right-hand side and the
+    objective at the center that they give: each one p violates, as
+    (condition, measured, bound).
+
+    The objective at the center h is f(h) = theta*alpha/2*n*(n+1)/2.  With
+    theta <= alpha/2, the projection p of h onto a row at distance at most
+    theta has sum_k |c_k*p_k| <= f(h) + |c|*theta <= 3*f(h), so every
+    partial sum of f(p) is at most 3*f(h) in size.  Rounding raises it by a
+    relative (1 + 2^-53)^(n+1) - 1 < 1 for n below 2^52, so 6*f(h) is
+    required finite: f(h) and f(p) are then finite.
+    """
     out = _positive_finite(p, ("alpha", "theta"))
     if not p.theta <= p.alpha / 2:
         out.append(("theta <= alpha/2", p.theta, p.alpha / 2))
@@ -129,6 +139,10 @@ def stored_violations(p: GeneratorParams) -> list[tuple[str, float, object]]:
     diagonal = _as_float(lambda: diagonal_rhs(p.n, p.alpha))
     if p.n >= 1 and math.isfinite(p.alpha) and not math.isfinite(diagonal):
         out.append(("(n-1)*alpha + alpha/2 finite", diagonal, "finite"))
+    if p.n >= 1 and 0 < p.alpha < math.inf and 0 < p.theta < math.inf:
+        center = _as_float(lambda: 6 * p.theta * p.alpha / 2 * p.n * (p.n + 1) / 2)
+        if not math.isfinite(center):
+            out.append(("6*theta*alpha/2*n*(n+1)/2 finite", center, "finite"))
     return out
 
 
@@ -321,63 +335,45 @@ def _frozen_rows(a, n: int) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class LPInstance:
     """A generated problem: maximize c.x subject to all constraints.
 
-    ``support`` holds the 2n+1 bounding inequalities in canonical order,
-    under the instance's own ``params.alpha``, ``random`` the accepted extra
-    inequalities in acceptance order.  Equality
+    The fields are the storage: the bounding rows as a ``BoundingBlock``,
+    which holds no canonical row, and the random rows, in acceptance order,
+    as one frozen (d, n) array ``random_a`` with right-hand sides
+    ``random_b``.  A float64 array given is frozen in place, not copied.
+    ``support``, ``random`` and ``constraints`` are tuples of
+    ``Inequality`` built from these on first use and cached.  Equality
     compares the mathematical content (n, constraints, objective) row by
     row, -0.0 equal to 0.0 and a nan unequal to itself; ``params`` is
     carried along as a record of the run but not compared, since the
     on-disk format does not store every knob.
 
-    The rows are stored as arrays: the random rows as one frozen (d, n)
-    array ``random_a`` with right-hand sides ``random_b``, the bounding rows
-    as a ``BoundingBlock``, which holds no canonical row.  ``support``,
-    ``random`` and ``constraints`` are tuples built from these on first use
-    and cached; an instance built from tuples keeps those.
-    ``from_arrays`` builds an instance without any ``Inequality``.  Both
-    constructors refuse, with ``ValueError``, a shape that neither the
-    generator nor the reader makes: n < 1, params of another n, other than
-    2n+1 bounding rows, a row or an objective of other than n coefficients,
-    or a bounding block kept for another n or for an alpha not bitwise
-    ``params.alpha``.
+    The constructor refuses, with ``ValueError``, a shape that neither the
+    generator nor the reader makes: n < 1, params of another n, an
+    objective of other than n coefficients, random rows of other than n
+    coefficients or not one right-hand side each, or a bounding block kept
+    for another n or for an alpha not bitwise ``params.alpha``.  So
+    ``dataclasses.replace(inst, params=q)`` takes q of the same alpha
+    (another rho, l_max or s_min, say) without building a row, and refuses
+    another alpha.
     """
 
     n: int
-    support: tuple[Inequality, ...]
-    random: tuple[Inequality, ...]
+    bounding: BoundingBlock
+    random_a: np.ndarray
+    random_b: np.ndarray
     c: np.ndarray
     params: GeneratorParams
 
-    def __init__(self, n, support, random, c, params):
-        support = tuple(support)
-        random = tuple(random)
-        a = np.stack([q.a for q in random]) if random else np.empty((0, n))
-        b = np.array([q.b for q in random], dtype=np.float64)
-        self._store(n, BoundingBlock.from_rows(n, params.alpha, support), a, b, c, params)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "random", random)
-
-    @classmethod
-    def from_arrays(cls, n: int, bounding: BoundingBlock, random_a, random_b, c,
-                    params: GeneratorParams) -> "LPInstance":
-        """An instance of the bounding rows ``bounding`` and the random rows
-        ``random_a`` with right-hand sides ``random_b``.  A float64 array
-        given is frozen in place, not copied.  ``bounding`` must be kept for
-        this n and for ``params.alpha``, bitwise."""
-        inst = object.__new__(cls)
-        inst._store(n, bounding, random_a, random_b, c, params)
-        return inst
-
-    def _store(self, n, bounding, a, b, c, params) -> None:
+    def __post_init__(self):
+        n, bounding, params = self.n, self.bounding, self.params
         if n < 1:
             raise ValueError(f"expected n >= 1, got {n}")
         if params.n != n:
             raise ValueError(f"expected params of n = {n}, got {params.n}")
-        c = _frozen_vector(c)
+        c = _frozen_vector(self.c)
         if c.shape != (n,):
             raise ValueError(f"expected an objective of {n} coefficients, got {c.size}")
         if bounding.n != n:
@@ -386,36 +382,25 @@ class LPInstance:
         if _bits(bounding.alpha) != _bits(params.alpha):
             raise ValueError(f"bounding block kept for alpha = {bounding.alpha!r}, "
                              f"not params.alpha = {params.alpha!r}")
-        a = _frozen_rows(a, n)
-        b = np.require(b, dtype=np.float64, requirements="C")
+        a = _frozen_rows(self.random_a, n)
+        b = np.require(self.random_b, dtype=np.float64, requirements="C")
         if b.shape != (a.shape[0],):
             raise ValueError("expected one right-hand side per random row")
         b.flags.writeable = False
-        for name, value in (("n", n), ("bounding", bounding), ("random_a", a),
-                            ("random_b", b), ("c", c), ("params", params)):
+        for name, value in (("random_a", a), ("random_b", b), ("c", c)):
             object.__setattr__(self, name, value)
 
-    def with_params(self, params: GeneratorParams) -> "LPInstance":
-        """The same rows with other ``params`` of the same alpha (another
-        rho, l_max or s_min, say), building no row; another alpha raises
-        ``ValueError``.  ``dataclasses.replace(inst, params=q)`` reads the
-        rows as given under q's alpha instead, building them."""
-        return LPInstance.from_arrays(
-            self.n, self.bounding, self.random_a, self.random_b, self.c, params
-        )
+    @cached_property
+    def support(self) -> tuple[Inequality, ...]:
+        return self.bounding.rows()
 
-    def __getattr__(self, name):
-        # support, random and constraints are built on first use, then cached
-        if name == "support":
-            value = self.bounding.rows()
-        elif name == "random":
-            value = tuple(map(Inequality, self.random_a, self.random_b.tolist()))
-        elif name == "constraints":
-            value = self.support + self.random
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
+    @cached_property
+    def random(self) -> tuple[Inequality, ...]:
+        return tuple(map(Inequality, self.random_a, self.random_b.tolist()))
+
+    @cached_property
+    def constraints(self) -> tuple[Inequality, ...]:
+        return self.support + self.random
 
     @property
     def m(self) -> int:
@@ -445,7 +430,7 @@ class LPInstance:
         )
 
     def __repr__(self):
-        # the dataclass repr would build and cache every row
+        # the dataclass repr would print every row
         p = self.params
         return (f"LPInstance(n={self.n}, d={self.d}, alpha={p.alpha!r}, seed={p.seed}, "
                 f"edits={len(self.bounding.edits)})")

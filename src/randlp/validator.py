@@ -102,12 +102,12 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     as ``validate_params`` states it, and ends the check.  The violations
     come out in row order too: structural (``stored_violations``, the
     conditions of ``validate_params`` on the alpha and theta that a file
-    stores and on the diagonal they give), bounding rows and objective,
-    non-finite rows, rows of finite coefficients whose sum of squares
-    overflows, zero rows, then per row its center feasibility, distance band
-    and objective improvement, then the alike pairs.  <a,h>, the distance and
-    the projection step of every stacked row come from one ``center_terms``
-    call.
+    stores and on the diagonal and the objective at the center they give),
+    bounding rows and objective, non-finite rows, rows of finite
+    coefficients whose sum of squares overflows, zero rows, then per row its
+    center feasibility, distance band and objective improvement, then the
+    alike pairs.  <a,h>, the distance and the projection step of every
+    stacked row come from one ``center_terms`` call.
     """
     p = inst.params
     refuse(bound_violations(p))
@@ -156,8 +156,10 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     feasible = _within(ah, B)
     above_rho = dist > p.rho
     below_theta = _within(dist, p.theta)
-    # the projection of h onto each row's hyperplane
-    f_proj = row_dots(h - t[:, None] * X, inst.c)
+    # the projection of h onto each row's hyperplane; a usable row whose
+    # <a,h> overflows has an infinite step, and its value is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_proj = row_dots(h - t[:, None] * X, inst.c)
     improves = f_proj > f_h
 
     # distance band and objective improvement apply to the random rows,

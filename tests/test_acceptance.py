@@ -8,14 +8,12 @@ import os
 import time
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
 from randlp import (
     GeneratorParams,
     Inequality,
-    LPInstance,
     build_objective,
     build_support,
     derive_stream,
@@ -31,6 +29,8 @@ from randlp import (
     verify_support_solution,
 )
 from randlp.rng import words_to_units
+
+from conftest import instance_from_rows, with_rows
 
 
 @contextmanager
@@ -88,7 +88,7 @@ def test_criterion_01_support_exactness():
                 extra = tuple(
                     Inequality(np.ones(n), 1e6 + i) for i in range(d)
                 )
-                inst = LPInstance(
+                inst = instance_from_rows(
                     n=n,
                     support=tuple(rows),
                     random=extra,
@@ -275,7 +275,7 @@ def test_criterion_10_tamper_sensitivity():
             base = 2 * inst.n + 1
             for i, q in enumerate(inst.random):
                 flipped = Inequality(-q.a, -q.b)
-                bad = replace(
+                bad = with_rows(
                     inst,
                     random=inst.random[:i] + (flipped,) + inst.random[i + 1 :],
                 )

@@ -25,6 +25,8 @@ from randlp import (
 )
 from randlp.model import bound_violations
 
+from conftest import with_rows
+
 GEN = ["gen", "--n", "2", "--d", "5", "--seed", "42"]
 
 
@@ -260,9 +262,12 @@ def test_gen_refuses_an_a_max_whose_square_underflows(capsys):
 OVERFLOWING = [
     # a row's sum of squares overflows
     (GeneratorParams(n=2, d=1, a_max=1e200, b_max=1e203), "2*n*a_max*a_max finite"),
-    # <a,h> overflows
-    (GeneratorParams(n=2, d=1, alpha=1e200, theta=1e199, rho=1e198, s_min=1e199, a_max=1e150,
+    # <a,h> overflows; a theta of 1e100 keeps the objective at the center finite
+    (GeneratorParams(n=2, d=1, alpha=1e200, theta=1e100, rho=1e99, s_min=1e99, a_max=1e150,
                      b_max=1e150), "2*(n*a_max*alpha/2 + b_max) finite"),
+    # the objective at the center, 3*theta*alpha/2, overflows: no row improves on it
+    (GeneratorParams(n=2, d=1, alpha=1e308, theta=4e307, rho=1e307, s_min=1e307, a_max=1e-150,
+                     b_max=1e-150), "6*theta*alpha/2*n*(n+1)/2 finite"),
 ]
 
 
@@ -296,6 +301,22 @@ def test_validate_names_a_row_whose_norm_overflows(tmp_path, capsys):
     row = read_instance_text(out.read_text()).m - 1
     assert [x for x in capsys.readouterr().err.splitlines() if f"constraint {row}:" in x] == [
         f"constraint {row}: finite coefficient norm (measured inf, bound finite)"
+    ]
+
+
+def test_validate_names_a_row_whose_product_with_the_center_overflows(tmp_path, capsys):
+    # <a,h> = 1e10 * 5e299 overflows while the row's norm does not: its step
+    # is infinite and its projection's value nan, reported without the
+    # warning that the suite's filter turns into a failure
+    out = tmp_path / "huge.txt"
+    out.write_text("2 6 1 0\n1 0 1e+300\n0 1 1e+300\n-1 0 0\n0 -1 0\n1 1 1.5e+300\n"
+                   "1e10 0 1\n2 1\n")
+    assert run_cli(["validate", "--in", str(out), "--rho=0.5"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "constraint 5: center feasibility a.h <= b (measured inf, bound 1.0)",
+        "constraint 5: distance <= theta (measured inf, bound 1.0)",
+        "constraint 5: objective improvement at projection (measured nan, bound 1.5e+300)",
+        "invalid: 3 violation(s)",
     ]
 
 
@@ -366,13 +387,13 @@ def test_library_and_cli_refuse_the_same_bounds(tmp_path, capsys, n, field, flag
     inst, _ = generate_sequential(DUPLICATED[n])
     random = list(inst.random)
     random[1] = random[0]
-    inst = replace(inst, random=tuple(random))
+    inst = with_rows(inst, random=tuple(random))
     assert not validate_instance(inst).ok
     q = replace(inst.params, **{field: value})
     want = bound_violations(q)
     assert want
     with pytest.raises(ParameterError) as err:
-        validate_instance(inst.with_params(q))
+        validate_instance(replace(inst, params=q))
     assert err.value.violations == want
     out = tmp_path / "dup.txt"
     out.write_text(instance_to_text(inst))

@@ -26,6 +26,8 @@ from randlp import (
 from randlp import io as rio
 from randlp.model import BoundingBlock
 
+from conftest import instance_from_rows
+
 
 def test_support_only_n1_exact_text():
     inst, _ = generate_sequential(GeneratorParams(n=1, d=0, seed=7))
@@ -68,7 +70,8 @@ def _synthetic_instance(n, d, seed):
         b = float(gen.uniform(-1.0, 1.0) * 10.0 ** gen.integers(-12, 13))
         random.append(Inequality(a, b))
     params = GeneratorParams(n=n, d=d, seed=int(gen.integers(0, 2**63)))
-    return LPInstance(n=n, support=tuple(support), random=tuple(random), c=c, params=params)
+    return instance_from_rows(n=n, support=tuple(support), random=tuple(random), c=c,
+                              params=params)
 
 
 def test_thousand_synthetic_round_trips():
@@ -92,7 +95,7 @@ def test_thousand_synthetic_round_trips():
 def test_awkward_floats_round_trip_bitwise(value):
     inst = _synthetic_instance(1, 0, 0)
     row = Inequality(np.array([1.0]), value)
-    patched = LPInstance(
+    patched = instance_from_rows(
         n=1, support=inst.support, random=(row,), c=inst.c, params=inst.params
     )
     back = read_instance(io.StringIO(instance_to_text(patched)))
@@ -120,8 +123,8 @@ def test_row_text_equals_formatting_each_token(values):
     # canonical, else the row format
     n = q.a.size
     block = BoundingBlock.from_rows(n, 200.0, [q] + [None] * (2 * n))
-    inst = LPInstance.from_arrays(n, block, np.empty((0, n)), np.empty(0),
-                                  build_objective(n, 100.0), GeneratorParams(n=n))
+    inst = LPInstance(n, block, np.empty((0, n)), np.empty(0),
+                      build_objective(n, 100.0), GeneratorParams(n=n))
     assert instance_to_text(inst).splitlines()[1] == want
 
 
@@ -244,15 +247,16 @@ def token_text(inst):
 def with_support_row(inst, i, row):
     support = list(inst.support)
     support[i] = row
-    return LPInstance(n=inst.n, support=tuple(support), random=inst.random, c=inst.c,
-                      params=inst.params)
+    return instance_from_rows(n=inst.n, support=tuple(support), random=inst.random, c=inst.c,
+                              params=inst.params)
 
 
 @pytest.mark.parametrize("n, alpha", [(1, 200.0), (3, 64.0), (20, 1e-3), (7, 3.0e300)])
 def test_bounding_rows_written_like_every_token(n, alpha):
     inst = _synthetic_instance(n, 2, n)
-    inst = LPInstance(n=n, support=tuple(build_support(n, alpha)), random=inst.random,
-                      c=inst.c, params=GeneratorParams(n=n, d=2, alpha=alpha, theta=alpha / 4))
+    inst = instance_from_rows(n=n, support=tuple(build_support(n, alpha)), random=inst.random,
+                              c=inst.c,
+                              params=GeneratorParams(n=n, d=2, alpha=alpha, theta=alpha / 4))
     text = instance_to_text(inst)
     assert text == token_text(inst)
     assert read_instance(io.StringIO(text)) == inst
@@ -347,8 +351,8 @@ def test_non_finite_token_is_a_parse_error_naming_the_line(token):
 
 def test_overflowing_diagonal_matches_the_template_yet_is_refused():
     n, alpha = 3, 1e308
-    inst = LPInstance(n=n, support=tuple(build_support(n, alpha)), random=(),
-                      c=build_objective(n, 1.0), params=GeneratorParams(n=n, alpha=alpha))
+    inst = instance_from_rows(n=n, support=tuple(build_support(n, alpha)), random=(),
+                              c=build_objective(n, 1.0), params=GeneratorParams(n=n, alpha=alpha))
     text = instance_to_text(inst)
     assert text.splitlines()[7] == "1 1 1 inf"
     assert err(text).startswith("line 8:")
@@ -357,7 +361,8 @@ def test_overflowing_diagonal_matches_the_template_yet_is_refused():
 def test_finite_row_whose_sum_overflows_still_reads():
     inst = _synthetic_instance(2, 0, 0)
     row = Inequality([1.7e308, 1.7e308], 1.7e308)
-    big = LPInstance(n=2, support=inst.support, random=(row,), c=inst.c, params=inst.params)
+    big = instance_from_rows(n=2, support=inst.support, random=(row,), c=inst.c,
+                             params=inst.params)
     assert read_instance(io.StringIO(instance_to_text(big))) == big
 
 
@@ -398,7 +403,7 @@ def test_writer_refuses_a_block_of_other_than_2n_plus_1_rows(extra):
     inst, _ = generate_sequential(GeneratorParams(n=2, d=3, seed=0))
     rows = inst.support + inst.random[:1] if extra > 0 else inst.support[:-1]
     with pytest.raises(ValueError, match=f"expected 2n\\+1 = 5 bounding rows, got {5 + extra}"):
-        LPInstance(n=2, support=rows, random=inst.random, c=inst.c, params=inst.params)
+        instance_from_rows(n=2, support=rows, random=inst.random, c=inst.c, params=inst.params)
 
 
 finite_bits = st.integers(0, 2**64 - 1).filter(
@@ -436,10 +441,11 @@ def test_overflowing_diagonal_line_with_a_finite_rhs_is_an_edit():
     back = read_instance(io.StringIO("\n".join(lines) + "\n"))
     assert back.bounding.edits.keys() == {6}
     # the overflowing diagonal is structural, as validate_params states it,
-    # and ends the check; rho below the file's theta 0.5
-    report = validate_instance(back.with_params(replace(back.params, rho=0.25)))
+    # and ends the check; so is 6*f(h) = 9e308 for f(h) = 0.5*5e307*6; rho
+    # below the file's theta 0.5
+    report = validate_instance(replace(back, params=replace(back.params, rho=0.25)))
     assert [(v.constraint, v.condition) for v in report.violations] == [
-        (-1, "(n-1)*alpha + alpha/2 finite")
+        (-1, "(n-1)*alpha + alpha/2 finite"), (-1, "6*theta*alpha/2*n*(n+1)/2 finite")
     ]
 
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from randlp import (
 )
 from randlp.model import BoundingBlock, ParameterError, bound_violations
 
-from conftest import make_params
+from conftest import instance_from_rows, make_params, with_rows
 
 
 def test_default_demo_params_are_valid():
@@ -87,17 +87,17 @@ def test_instance_counts_and_equality():
     c = build_objective(n, 100.0)
     extra = (Inequality([1.0, 2.0], 400.0),)
     p = GeneratorParams(n=n, d=1)
-    inst = LPInstance(n=n, support=support, random=extra, c=c, params=p)
+    inst = instance_from_rows(n=n, support=support, random=extra, c=c, params=p)
     assert inst.m == 2 * n + 1 + 1
     assert inst.d == 1
     assert inst.constraints == support + extra
 
     # params do not take part in equality; content does
-    other = LPInstance(n=n, support=support, random=extra, c=c,
-                       params=GeneratorParams(n=n, d=1, seed=999))
+    other = instance_from_rows(n=n, support=support, random=extra, c=c,
+                               params=GeneratorParams(n=n, d=1, seed=999))
     assert inst == other
-    changed = LPInstance(n=n, support=support, random=(Inequality([1.0, 2.0], 401.0),),
-                         c=c, params=p)
+    changed = instance_from_rows(n=n, support=support,
+                                 random=(Inequality([1.0, 2.0], 401.0),), c=c, params=p)
     assert inst != changed
 
 
@@ -108,9 +108,9 @@ def test_m_identity_holds_for_synthetic_instances():
             extra = tuple(
                 Inequality(np.full(n, 1.0 + i), 1000.0 + i) for i in range(d)
             )
-            inst = LPInstance(n=n, support=support, random=extra,
-                              c=build_objective(n, 100.0),
-                              params=GeneratorParams(n=n, d=d))
+            inst = instance_from_rows(n=n, support=support, random=extra,
+                                      c=build_objective(n, 100.0),
+                                      params=GeneratorParams(n=n, d=d))
             assert inst.m == 2 * n + 1 + d
 
 
@@ -137,8 +137,9 @@ def test_n1_needs_bounding_rows_s_min_apart():
 
 def test_overflowing_diagonal_rhs_rejected():
     # (n-1)*alpha + alpha/2 is 2.5e308 at n = 3 but 1.5e308 at n = 2; an
-    # a_max of 0.1 keeps 2*(n*a_max*alpha/2 + b_max) finite at both
-    huge = dict(d=0, alpha=1e308, theta=1e307, rho=1e306, s_min=1e300, a_max=0.1, b_max=1.0)
+    # a_max of 0.1 keeps 2*(n*a_max*alpha/2 + b_max) finite at both, and a
+    # theta of 0.01 keeps 6*theta*alpha/2*n*(n+1)/2 finite at both
+    huge = dict(d=0, alpha=1e308, theta=0.01, rho=0.001, s_min=1e300, a_max=0.1, b_max=1.0)
     assert validate_params(GeneratorParams(n=3, **huge)) == ["(n-1)*alpha + alpha/2 finite"]
     assert validate_params(GeneratorParams(n=2, **huge)) == []
     assert "(n-1)*alpha + alpha/2 finite" in validate_params(GeneratorParams(n=10**400))
@@ -171,42 +172,42 @@ def test_array_backed_instance_equals_the_one_built_from_tuples():
     assert inst.support == tuple(build_support(n, 200.0))
     assert inst.support is inst.support
     assert inst.constraints == inst.support + inst.random
-    twin = LPInstance(n=n, support=inst.support, random=inst.random, c=inst.c,
-                      params=inst.params)
+    twin = instance_from_rows(n=n, support=inst.support, random=inst.random, c=inst.c,
+                              params=inst.params)
     assert twin == inst and inst == twin
     assert (twin.m, twin.d) == (inst.m, inst.d) == (2 * n + 1 + 4, 4)
 
 
 def test_instance_equality_is_per_row_value_equality():
     n = 2
-    base = LPInstance(n=n, support=build_support(n, 200.0), random=(Inequality([1.0, 0.0], 5.0),),
-                      c=build_objective(n, 100.0), params=GeneratorParams(n=n, d=1))
-    minus_zero = replace(base, random=(Inequality([1.0, -0.0], 5.0),))
+    base = instance_from_rows(n=n, support=build_support(n, 200.0),
+                              random=(Inequality([1.0, 0.0], 5.0),),
+                              c=build_objective(n, 100.0), params=GeneratorParams(n=n, d=1))
+    minus_zero = with_rows(base, random=(Inequality([1.0, -0.0], 5.0),))
     assert minus_zero == base
     support = list(base.support)
     support[3] = Inequality([-0.0, -1.0], 0.0)
-    assert replace(base, support=tuple(support)) == base
-    nan = replace(base, random=(Inequality([1.0, np.nan], 5.0),))
-    assert nan != replace(base, random=(Inequality([1.0, np.nan], 5.0),))
+    assert with_rows(base, support=tuple(support)) == base
+    nan = with_rows(base, random=(Inequality([1.0, np.nan], 5.0),))
+    assert nan != with_rows(base, random=(Inequality([1.0, np.nan], 5.0),))
     support[3] = Inequality([0.0, -1.0], np.nan)
-    assert replace(base, support=tuple(support)) != replace(base, support=tuple(support))
+    assert with_rows(base, support=tuple(support)) != with_rows(base, support=tuple(support))
 
 
 def test_non_canonical_bounding_rows_keep_their_bits():
     n = 2
     support = build_support(n, 200.0)
     support[2] = Inequality([-1.0, -0.0], 0.0)
-    inst = LPInstance(n=n, support=support, random=(), c=build_objective(n, 100.0),
-                      params=GeneratorParams(n=n))
+    inst = instance_from_rows(n=n, support=support, random=(), c=build_objective(n, 100.0),
+                              params=GeneratorParams(n=n))
     assert list(inst.bounding.edits) == [2]
-    rebuilt = LPInstance.from_arrays(n, inst.bounding, inst.random_a, inst.random_b, inst.c,
-                                     inst.params)
+    rebuilt = LPInstance(n, inst.bounding, inst.random_a, inst.random_b, inst.c, inst.params)
     assert rebuilt.support[2].a.tobytes() == support[2].a.tobytes()
 
 
-def test_with_params_keeps_the_rows_and_builds_none():
+def test_replacing_params_keeps_the_rows_and_builds_none():
     inst, _ = generate_sequential(GeneratorParams(n=4, d=3, seed=2))
-    other = inst.with_params(replace(inst.params, l_max=0.2))
+    other = replace(inst, params=replace(inst.params, l_max=0.2))
     assert other.params.l_max == 0.2
     assert other.bounding is inst.bounding and other.random_a is inst.random_a
     assert "support" not in vars(other)
@@ -214,13 +215,35 @@ def test_with_params_keeps_the_rows_and_builds_none():
     # the block is kept for alpha 200; another alpha would make its closed
     # form rows other than the canonical rows of the instance
     with pytest.raises(ValueError, match="kept for alpha = 200.0, not params.alpha = 64.0"):
-        inst.with_params(replace(inst.params, alpha=64.0))
+        replace(inst, params=replace(inst.params, alpha=64.0))
+
+
+def test_replacing_params_of_a_wide_instance_builds_no_row(monkeypatch):
+    inst, _ = generate_sequential(GeneratorParams(n=2000, d=2, seed=1))
+
+    def refused(self, i):
+        raise AssertionError("replace built a bounding row")
+
+    monkeypatch.setattr(BoundingBlock, "row", refused)
+    q = replace(inst.params, rho=25.0, s_min=50.0)
+    other = replace(inst, params=q)
+    assert other.params is q
+    assert other == inst
+    with pytest.raises(ValueError, match="kept for alpha = 200.0, not params.alpha = 300.0"):
+        replace(inst, params=replace(q, alpha=300.0))
+
+
+def test_the_fields_are_the_storage():
+    assert [f.name for f in fields(LPInstance)] == [
+        "n", "bounding", "random_a", "random_b", "c", "params"
+    ]
 
 
 def test_random_rows_must_have_n_coefficients():
     with pytest.raises(ValueError, match="random rows of 3 coefficients"):
-        LPInstance(n=3, support=build_support(3, 200.0), random=(Inequality([1.0, 2.0], 5.0),),
-                   c=build_objective(3, 100.0), params=GeneratorParams(n=3))
+        instance_from_rows(n=3, support=build_support(3, 200.0),
+                           random=(Inequality([1.0, 2.0], 5.0),),
+                           c=build_objective(3, 100.0), params=GeneratorParams(n=3))
 
 
 def test_inequality_needs_a_1d_row():
@@ -228,11 +251,10 @@ def test_inequality_needs_a_1d_row():
         Inequality(np.ones((2, 2)), 5.0)
 
 
-def test_from_arrays_needs_one_rhs_per_random_row():
+def test_random_rows_need_one_rhs_each():
     inst, _ = generate_sequential(GeneratorParams(n=3, d=4, seed=1))
     with pytest.raises(ValueError, match="expected one right-hand side per random row"):
-        LPInstance.from_arrays(inst.n, inst.bounding, inst.random_a, inst.random_b[:-1],
-                               inst.c, inst.params)
+        LPInstance(inst.n, inst.bounding, inst.random_a, inst.random_b[:-1], inst.c, inst.params)
 
 
 def _parts():
@@ -280,22 +302,22 @@ def test_malformed_shapes_are_refused_at_construction(case):
     n, params = parts["n"], parts["params"]
     if "block" not in parts:
         with pytest.raises(ValueError, match=match):
-            LPInstance(n=n, support=parts["support"], random=parts["random"], c=parts["c"],
-                       params=params)
+            instance_from_rows(n=n, support=parts["support"], random=parts["random"],
+                               c=parts["c"], params=params)
         # from arrays, the rows that from_rows refuses never make a block
         with pytest.raises(ValueError, match=match):
             block = BoundingBlock.from_rows(n, params.alpha, parts["support"])
-            LPInstance.from_arrays(n, block, parts["a"], parts["b"], parts["c"], params)
+            LPInstance(n, block, parts["a"], parts["b"], parts["c"], params)
     else:
         # a tuple of rows is always read for its own n, under params.alpha
         with pytest.raises(ValueError, match=match):
-            LPInstance.from_arrays(n, parts["block"], parts["a"], parts["b"], parts["c"], params)
+            LPInstance(n, parts["block"], parts["a"], parts["b"], parts["c"], params)
     if case == "block of another alpha":
         good = _parts()
-        inst = LPInstance(n=2, support=good["support"], random=good["random"], c=good["c"],
-                          params=good["params"])
+        inst = instance_from_rows(n=2, support=good["support"], random=good["random"],
+                                  c=good["c"], params=good["params"])
         with pytest.raises(ValueError, match="kept for alpha = 200.0, not params.alpha = 100.0"):
-            inst.with_params(replace(inst.params, alpha=100.0))
+            replace(inst, params=replace(inst.params, alpha=100.0))
 
 
 @pytest.mark.parametrize("i", [-1, 5, 6])
@@ -319,24 +341,24 @@ def test_params_of_another_n_are_refused(other):
     params = replace(parts["params"], n=other)
     match = f"expected params of n = 2, got {other}"
     with pytest.raises(ValueError, match=match):
-        LPInstance(n=2, support=parts["support"], random=parts["random"], c=parts["c"],
-                   params=params)
+        instance_from_rows(n=2, support=parts["support"], random=parts["random"], c=parts["c"],
+                           params=params)
     block = BoundingBlock.canonical(2, 200.0)
     with pytest.raises(ValueError, match=match):
-        LPInstance.from_arrays(2, block, parts["a"], parts["b"], parts["c"], params)
+        LPInstance(2, block, parts["a"], parts["b"], parts["c"], params)
     with pytest.raises(ValueError, match=match):
-        LPInstance.from_arrays(2, block, parts["a"], parts["b"], parts["c"],
-                               parts["params"]).with_params(params)
+        replace(LPInstance(2, block, parts["a"], parts["b"], parts["c"], parts["params"]),
+                params=params)
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
 def test_a_non_finite_alpha_still_builds_from_tuples(alpha):
     # the validator reports such an instance as structural, so it must exist
     parts = _parts()
-    inst = LPInstance(n=2, support=parts["support"], random=parts["random"], c=parts["c"],
-                      params=replace(parts["params"], alpha=alpha))
+    inst = instance_from_rows(n=2, support=parts["support"], random=parts["random"],
+                              c=parts["c"], params=replace(parts["params"], alpha=alpha))
     assert np.float64(inst.bounding.alpha).tobytes() == np.float64(alpha).tobytes()
-    assert inst.with_params(replace(inst.params, l_max=0.2)).params.l_max == 0.2
+    assert replace(inst, params=replace(inst.params, l_max=0.2)).params.l_max == 0.2
 
 
 def test_equality_with_another_type_is_not_implemented():

@@ -10,7 +10,6 @@ from randlp import (
     GenerationStalledError,
     GenerationStats,
     GeneratorParams,
-    LPInstance,
     build_objective,
     build_support,
     derive_stream,
@@ -24,7 +23,7 @@ from randlp import (
 )
 from randlp.generator import _Producer
 
-from conftest import make_params
+from conftest import instance_from_rows, make_params
 
 
 def test_parallel_deterministic_for_seed_and_worker_count():
@@ -211,7 +210,7 @@ def round_replay(params):
             rounds=-(-steps // L),
         )
         if done:
-            inst = LPInstance(n=n, support=support, random=accepted, c=c, params=params)
+            inst = instance_from_rows(n=n, support=support, random=accepted, c=c, params=params)
             return instance_to_text(inst), stats
         counts = {"rejected_distance": stats.rejected_distance,
                   "rejected_objective": stats.rejected_objective,

@@ -1,5 +1,4 @@
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +10,8 @@ from randlp import (
     generate_sequential,
     render_svg,
 )
+
+from conftest import with_rows
 
 
 def elements(svg, kind):
@@ -107,7 +108,7 @@ def test_a_row_outside_the_view_leaves_no_line_and_no_region():
     # x + y <= -1000 crosses no edge of the [-30, 230] view, and with
     # x, y >= 0 it leaves the region empty
     inst, _ = generate_sequential(GeneratorParams(n=2, d=0, seed=0))
-    far = replace(inst, random=(Inequality([1.0, 1.0], -1000.0),))
+    far = with_rows(inst, random=(Inequality([1.0, 1.0], -1000.0),))
     svg = render_svg(far)
     assert lines_with_class(svg, "random") == []
     assert len(lines_with_class(svg, "support")) == 5

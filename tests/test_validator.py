@@ -32,7 +32,7 @@ from randlp import validator
 from randlp.geometry import hypercube_center, row_dots, row_norms
 from randlp.model import BoundingBlock, bound_violations
 
-from conftest import make_params
+from conftest import make_params, with_rows
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ def test_generated_instance_validates(demo_instance):
 
 def test_duplicate_random_row_flagged_alike(demo_instance):
     dup = demo_instance.random[0]
-    bad = replace(demo_instance, random=demo_instance.random + (dup,))
+    bad = with_rows(demo_instance, random=demo_instance.random + (dup,))
     report = validate_instance(bad)
     assert not report.ok
     alike = [v for v in report.violations if v.condition.startswith("alike with")]
@@ -74,7 +74,7 @@ def test_duplicate_random_row_flagged_alike(demo_instance):
 def test_a_row_alike_to_the_canonical_diagonal_is_reported_once(demo_instance):
     inst = demo_instance
     diag = inst.row(2 * inst.n)
-    bad = replace(inst, random=inst.random + (Inequality(2.0 * diag.a, 2.0 * diag.b),))
+    bad = with_rows(inst, random=inst.random + (Inequality(2.0 * diag.a, 2.0 * diag.b),))
     alike = alike_violations(validate_instance(bad))
     assert alike == [(bad.m - 1, f"alike with constraint {2 * inst.n}")]
 
@@ -86,8 +86,8 @@ def test_a_row_alike_to_an_edited_bounding_row_is_reported_once(demo_instance):
     alpha = inst.params.alpha
     respelled = Inequality([1.0] + [-0.0] * (inst.n - 1), alpha)
     doubled = Inequality(2.0 * respelled.a, 2.0 * alpha)
-    bad = replace(inst, support=(respelled,) + inst.support[1:],
-                  random=inst.random + (doubled,))
+    bad = with_rows(inst, support=(respelled,) + inst.support[1:],
+                    random=inst.random + (doubled,))
     assert bad.bounding.edits.keys() == {0}
     alike = alike_violations(validate_instance(bad))
     assert alike == [(bad.m - 1, "alike with constraint 0")]
@@ -98,7 +98,7 @@ def test_pulled_in_row_breaks_feasibility_or_band(demo_instance):
     norm = float(np.linalg.norm(q.a))
     theta = demo_instance.params.theta
     bad_row = Inequality(q.a, q.b - 2 * theta * norm)
-    bad = replace(demo_instance, random=(bad_row,) + demo_instance.random[1:])
+    bad = with_rows(demo_instance, random=(bad_row,) + demo_instance.random[1:])
     report = validate_instance(bad)
     assert not report.ok
     conds = conditions(report)
@@ -110,7 +110,7 @@ def test_pulled_in_row_breaks_feasibility_or_band(demo_instance):
 def test_sign_flipped_row_breaks_center_feasibility(demo_instance):
     q = demo_instance.random[2]
     flipped = Inequality(-q.a, -q.b)
-    bad = replace(
+    bad = with_rows(
         demo_instance,
         random=demo_instance.random[:2] + (flipped,) + demo_instance.random[3:],
     )
@@ -122,7 +122,7 @@ def test_sign_flipped_row_breaks_center_feasibility(demo_instance):
 def test_tampered_support_row_is_exact_mismatch(demo_instance):
     rows = list(demo_instance.support)
     rows[0] = Inequality(rows[0].a, rows[0].b + 1e-12)
-    bad = replace(demo_instance, support=tuple(rows))
+    bad = with_rows(demo_instance, support=tuple(rows))
     report = validate_instance(bad)
     assert not report.ok
     assert "bounding row mismatch" in conditions(report)
@@ -137,7 +137,7 @@ def test_tampered_objective_is_exact_mismatch(demo_instance):
 
 def test_zero_norm_row_flagged(demo_instance):
     zero = Inequality(np.zeros(2), 5.0)
-    bad = replace(demo_instance, random=demo_instance.random + (zero,))
+    bad = with_rows(demo_instance, random=demo_instance.random + (zero,))
     report = validate_instance(bad)
     assert not report.ok
     assert "nonzero coefficient norm" in conditions(report)
@@ -149,27 +149,27 @@ def test_zero_norm_row_flagged(demo_instance):
 
 def test_wrong_support_count_is_structural(demo_instance):
     with pytest.raises(ValueError, match="expected 2n\\+1 = 5 bounding rows, got 4"):
-        replace(demo_instance, support=demo_instance.support[:-1])
+        with_rows(demo_instance, support=demo_instance.support[:-1])
 
 
 def test_zero_variables_is_structural():
     with pytest.raises(ValueError, match="expected n >= 1, got 0"):
-        LPInstance.from_arrays(0, BoundingBlock.canonical(0, 200.0), np.empty((0, 0)),
-                               np.empty(0), np.empty(0), GeneratorParams(n=0))
+        LPInstance(0, BoundingBlock.canonical(0, 200.0), np.empty((0, 0)),
+                   np.empty(0), np.empty(0), GeneratorParams(n=0))
 
 
 def test_short_objective_is_structural(demo_instance):
     inst = demo_instance
     with pytest.raises(ValueError, match="an objective of 2 coefficients, got 1"):
-        LPInstance.from_arrays(inst.n, inst.bounding, inst.random_a, inst.random_b,
-                               inst.c[:-1], inst.params)
+        LPInstance(inst.n, inst.bounding, inst.random_a, inst.random_b, inst.c[:-1],
+                   inst.params)
 
 
 def test_short_bounding_row_is_structural(demo_instance):
     rows = list(demo_instance.support)
     rows[3] = Inequality(rows[3].a[:-1], rows[3].b)
     with pytest.raises(ValueError, match="bounding row 3: expected 2 coefficients, got 1"):
-        replace(demo_instance, support=tuple(rows))
+        with_rows(demo_instance, support=tuple(rows))
 
 
 @pytest.mark.parametrize("alpha, theta, want", [
@@ -181,12 +181,14 @@ def test_short_bounding_row_is_structural(demo_instance):
     (math.inf, 100.0, [("alpha finite", math.inf, "finite")]),
     (math.inf, math.inf, [("alpha finite", math.inf, "finite"),
                           ("theta finite", math.inf, "finite")]),
+    # the objective at the center, 3*theta*alpha/2 at n = 2, overflows
+    (1e308, 4e307, [("6*theta*alpha/2*n*(n+1)/2 finite", math.inf, "finite")]),
 ])
 def test_stored_parameters_that_gen_refuses_are_structural(demo_instance, alpha, theta, want):
     # alpha and theta are what a file stores of the parameters; the rows
     # were built for other values, but the parameters are reported alone
     params = replace(demo_instance.params, alpha=alpha, theta=theta)
-    report = validate_instance(replace(demo_instance, params=params))
+    report = validate_instance(with_rows(demo_instance, params=params))
     assert not report.ok
     assert [(v.constraint, v.condition, v.measured, v.bound) for v in report.violations] == [
         (-1, *w) for w in want
@@ -197,7 +199,7 @@ def test_stored_parameters_that_gen_refuses_are_structural(demo_instance, alpha,
 def test_nonimproving_row_flagged(demo_instance):
     # distance 80 is fine but the projection scores 14000 < 30000
     bad_row = Inequality([-1.0, 0.0], -20.0)
-    bad = replace(demo_instance, random=demo_instance.random + (bad_row,))
+    bad = with_rows(demo_instance, random=demo_instance.random + (bad_row,))
     report = validate_instance(bad)
     assert not report.ok
     assert "objective improvement at projection" in conditions(report)
@@ -206,7 +208,7 @@ def test_nonimproving_row_flagged(demo_instance):
 def test_distance_exactly_rho_is_too_close(demo_instance):
     # integer arithmetic: distance from (100,100) to x <= 150 is exactly 50
     bad_row = Inequality([1.0, 0.0], 150.0)
-    bad = replace(demo_instance, random=demo_instance.random + (bad_row,))
+    bad = with_rows(demo_instance, random=demo_instance.random + (bad_row,))
     report = validate_instance(bad)
     assert not report.ok
     assert "distance > rho" in conditions(report)
@@ -216,7 +218,7 @@ def test_distance_exactly_theta_is_allowed(demo_instance):
     # x <= 200 sits exactly at distance theta; the band holds, only the
     # likeness to the matching bounding row trips
     edge_row = Inequality([1.0, 0.0], 200.0)
-    bad = replace(demo_instance, random=demo_instance.random + (edge_row,))
+    bad = with_rows(demo_instance, random=demo_instance.random + (edge_row,))
     report = validate_instance(bad)
     conds = conditions(report)
     assert "distance > rho" not in conds
@@ -231,12 +233,12 @@ def test_distance_within_write_noise_is_allowed(demo_instance):
     a = np.array([np.cos(ang), np.sin(ang)])
     ah = float(a @ np.array([100.0, 100.0]))
     edge_row = Inequality(a, ah + 100.0 + 4e-8)
-    ok = replace(demo_instance, random=demo_instance.random + (edge_row,))
+    ok = with_rows(demo_instance, random=demo_instance.random + (edge_row,))
     report = validate_instance(ok)
     assert "distance <= theta" not in conditions(report)
 
     far_row = Inequality(a, ah + 100.001)
-    bad = replace(demo_instance, random=demo_instance.random + (far_row,))
+    bad = with_rows(demo_instance, random=demo_instance.random + (far_row,))
     assert "distance <= theta" in conditions(validate_instance(bad))
 
 
@@ -279,7 +281,7 @@ def test_reports_are_cumulative(demo_instance):
     # several independent defects must all be reported in one pass
     zero = Inequality(np.zeros(2), 5.0)
     dup = demo_instance.random[1]
-    bad = replace(demo_instance, random=demo_instance.random + (zero, dup))
+    bad = with_rows(demo_instance, random=demo_instance.random + (zero, dup))
     report = validate_instance(bad)
     conds = conditions(report)
     assert "nonzero coefficient norm" in conds
@@ -306,7 +308,7 @@ def with_token(inst, row, col, value):
         a[col] = value
     rows[row] = Inequality(a, b)
     k = len(inst.support)
-    return replace(inst, support=tuple(rows[:k]), random=tuple(rows[k:]))
+    return with_rows(inst, support=tuple(rows[:k]), random=tuple(rows[k:]))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -377,7 +379,7 @@ def tampered_tall():
     rows[300] = Inequality(tilt, rows[5].b)
     rows[330] = Inequality(3.0 * rows[0].a, 3.0 * rows[0].b)
     k = len(inst.support)
-    bad = replace(inst, support=tuple(rows[:k]), random=tuple(rows[k:]))
+    bad = with_rows(inst, support=tuple(rows[:k]), random=tuple(rows[k:]))
     with np.errstate(over="ignore"):
         return bad, all_pairs_reference(bad)
 
@@ -400,7 +402,7 @@ def unusable_bounding_row():
         rows[40] = Inequality(tilt, rows[12].b)
         rows[45] = Inequality(3.0 * rows[7].a, 3.0 * rows[7].b)
         k = len(inst.support)
-        bad = replace(inst, support=tuple(rows[:k]), random=tuple(rows[k:]))
+        bad = with_rows(inst, support=tuple(rows[:k]), random=tuple(rows[k:]))
         cases.append((bad, all_pairs_reference(bad)))
     return cases
 
@@ -525,7 +527,7 @@ def tampered(inst, edits):
         q = rows[i]
         rows[i] = Inequality(*edit(q.a.copy(), q.b))
     k = len(inst.support)
-    return replace(inst, support=tuple(rows[:k]), random=tuple(rows[k:]))
+    return with_rows(inst, support=tuple(rows[:k]), random=tuple(rows[k:]))
 
 
 def with_a0(value):
@@ -609,7 +611,7 @@ def violation_list(report):
 
 def read_back(inst):
     """inst through its text, with the parameters the text does not store."""
-    return read_instance(io.StringIO(instance_to_text(inst))).with_params(inst.params)
+    return replace(read_instance(io.StringIO(instance_to_text(inst))), params=inst.params)
 
 
 def from_arrays(inst, k):
@@ -619,7 +621,7 @@ def from_arrays(inst, k):
     a = np.array([q.a for q in rows[k:]]).reshape(-1, inst.n)
     b = np.array([q.b for q in rows[k:]])
     block = BoundingBlock.from_rows(inst.n, inst.params.alpha, rows[:k])
-    return LPInstance.from_arrays(inst.n, block, a, b, inst.c, inst.params)
+    return LPInstance(inst.n, block, a, b, inst.c, inst.params)
 
 
 @pytest.mark.parametrize("name", list(TAMPERINGS))
@@ -633,13 +635,13 @@ def test_tampered_instances_report_the_same_from_tuples_arrays_and_text(row_cond
         if all(np.isfinite(q.a).all() and math.isfinite(q.b) for q in bad.constraints):
             assert violation_list(validate_instance(read_back(bad))) == want
         # under another alpha the rows are read as given, and at alpha 500
-        # the center lies outside x_j <= 200; with_params keeps the block's
-        # alpha, so it refuses another
+        # the center lies outside x_j <= 200; dataclasses.replace keeps the
+        # block's alpha, so it refuses another
         for alpha in (400.0, 500.0):
             q = replace(bad.params, alpha=alpha)
             with pytest.raises(ValueError, match="not params.alpha"):
-                bad.with_params(q)
-            moved = replace(bad, params=q)
+                replace(bad, params=q)
+            moved = with_rows(bad, params=q)
             got = validate_instance(from_arrays(moved, len(moved.support)))
             assert violation_list(got) == violation_list(validate_instance(moved))
 
@@ -652,11 +654,11 @@ def test_any_split_reports_the_same_from_tuples_and_arrays(row_condition_instanc
     rows = inst.constraints
     if k != 2 * inst.n + 1:
         with pytest.raises(ValueError, match=f"expected 2n\\+1 = 11 bounding rows, got {k}"):
-            replace(inst, support=rows[:k], random=rows[k:])
+            with_rows(inst, support=rows[:k], random=rows[k:])
         with pytest.raises(ValueError, match=f"expected 2n\\+1 = 11 bounding rows, got {k}"):
             from_arrays(inst, k)
         return
-    split = replace(inst, support=rows[:k], random=rows[k:])
+    split = with_rows(inst, support=rows[:k], random=rows[k:])
     report = validate_instance(split)
     assert report.ok
     assert split == inst == from_arrays(inst, k)
@@ -670,9 +672,9 @@ def test_n1_file_reports_the_diagonal_alike_with_the_first_row():
     inst = read_instance(io.StringIO("1 3 0 0\n1 150\n-1 0\n1 75\n50\n"))
     params = replace(inst.params, rho=25.0)
     with pytest.raises(ParameterError) as err:
-        validate_instance(inst.with_params(params))
+        validate_instance(replace(inst, params=params))
     assert err.value.violations == ["s_min <= alpha/2 when n = 1"]
-    assert validate_instance(inst.with_params(replace(params, s_min=75.0))).ok
+    assert validate_instance(replace(inst, params=replace(params, s_min=75.0))).ok
 
 
 @pytest.mark.parametrize("l_max, s_min", [
@@ -692,7 +694,7 @@ def test_rows_with_one_nonzero_of_different_columns_pair_up_under_a_wide_bound(l
     rows = list(inst.constraints)
     rows[8] = Inequality([0.0, 2.0, 0.0], 300.0)
     params = replace(inst.params, l_max=l_max, s_min=s_min)
-    wide = replace(inst, random=tuple(rows[7:]), params=params)
+    wide = with_rows(inst, random=tuple(rows[7:]), params=params)
     with pytest.raises(ParameterError) as err:
         validate_instance(wide)
     assert err.value.violations == bound_violations(params) == ["l_max <= 0.7"]
@@ -752,7 +754,7 @@ def test_seeded_tampered_sweep_matches_the_references(sweep_bases):
             s_min = min(s_min, inst.params.alpha / 2)
         params = replace(inst.params, l_max=float(gen.choice([0.35, 0.7])), s_min=s_min)
         k = len(inst.support)
-        bad = replace(inst, support=tuple(rows[:k]), random=tuple(rows[k:]), params=params)
+        bad = with_rows(inst, support=tuple(rows[:k]), random=tuple(rows[k:]), params=params)
         with np.errstate(over="ignore", invalid="ignore"):
             report = validate_instance(bad)
             alike = alike_violations(report)
