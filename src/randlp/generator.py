@@ -15,9 +15,10 @@ producer's three checks depend on the candidate alone, so each runs once
 over a block: the distance band and objective improvement over all its
 candidates, from one ``geometry.center_terms`` call, then likeness to the
 bounding rows over the survivors of those two, with
-``BoundingScreen.alike_rows``, which gives the verdict of a dense index of
-the bounding rows without storing them.  A row and its negation have the
-same distance and projection, so a producer decides those two fates before
+``geometry.bounding_alike`` of the run's one canonical ``BoundingBlock``,
+which gives the verdict of a dense index of the bounding rows without
+storing them.  A row and its negation have the same distance and
+projection, so a producer decides those two fates before
 the flip and flips only the rows it screens, where the reference flips every
 draw.  A block is then only its survivors' rows ``a`` and ``b`` and one fate
 code per candidate; the producer hands out its survivors in stream order and
@@ -31,12 +32,13 @@ from __future__ import annotations
 
 import enum
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from .geometry import (
-    BoundingScreen,
     SimilarityIndex,
+    bounding_alike,
     center_terms,
     distance_to_center,
     hypercube_center,
@@ -147,7 +149,7 @@ class _Producer:
     The checks run vectorized over a block: distance band and objective
     improvement over all its candidates, from one ``center_terms`` call and
     before any flip, then likeness to the bounding rows over the survivors
-    of those two, in one ``BoundingScreen.alike_rows`` call.  Only those
+    of those two, in one ``bounding_alike`` call.  Only those
     screened rows are flipped to keep h feasible: the distance and the
     projection of a row and its negation agree bit for bit, so the fates are
     those of the reference, which flips at draw time.  Blocks start at 64
@@ -163,13 +165,13 @@ class _Producer:
         params: GeneratorParams,
         h: np.ndarray,
         c: np.ndarray,
-        screen: BoundingScreen,
+        block: BoundingBlock,
     ):
         self._stream = stream
         self._p = params
         self._h = h
         self._c = c
-        self._screen = screen
+        self._block = block
         self._f_h = objective_value(c, h)
         words_per = 2 * (params.n + 1)
         self._words_per = words_per
@@ -204,7 +206,7 @@ class _Producer:
         stage3 = stage2[improves]
         sign = np.where(ah[stage3] > b[stage3], -1.0, 1.0)
         a, b = a[stage3] * sign[:, None], b[stage3] * sign
-        alike = self._screen.alike_rows(a, b)
+        alike = bounding_alike(self._block, a, b, p.l_max, p.s_min)
         code[stage3] = np.where(alike, _REJ_SIM, _SURVIVOR)
 
         # the block keeps only its survivors' rows, in stream order
@@ -305,11 +307,11 @@ def _generate(params: GeneratorParams, workers: int) -> tuple[LPInstance, Genera
     n, d, budget = params.n, params.d, params.max_attempts
     c = build_objective(n, params.theta)
     h = hypercube_center(n, params.alpha)
-    screen = BoundingScreen(n, params.alpha, params.l_max, params.s_min)
+    block = BoundingBlock.canonical(n, params.alpha)
     index = SimilarityIndex(n, params.l_max, params.s_min)
     sequential = workers == 1
     producers = [
-        _Producer(derive_stream(params.seed, s), params, h, c, screen)
+        _Producer(derive_stream(params.seed, s), params, h, c, block)
         for s in ((0,) if sequential else range(1, workers + 1))
     ]
     # The accepted rows, one stack per batch, so nothing is sized by d
@@ -403,15 +405,19 @@ def _generate(params: GeneratorParams, workers: int) -> tuple[LPInstance, Genera
     discarded = -steps % workers
     a = np.concatenate([rows for rows, _ in kept]) if kept else np.empty((0, n))
     b = np.concatenate([vs for _, vs in kept]) if kept else np.empty(0)
-    return LPInstance(n, BoundingBlock.canonical(n, params.alpha), a, b, c, params), stats()
+    # params record the workers that ran: generate_sequential runs one,
+    # whatever params.workers says
+    return LPInstance(n, block, a, b, c, replace(params, workers=workers)), stats()
 
 
 def generate_sequential(params: GeneratorParams) -> tuple[LPInstance, GenerationStats]:
     """Generate one instance on a single stream (id 0).
 
-    Returns the instance and the run counters.  Raises ParameterError on an
-    unusable parameter set and GenerationStalledError when max_attempts
-    consecutive candidates fail, naming the dominating rejection reason.
+    Returns the instance, whose params record the one worker that ran
+    whatever ``params.workers`` says, and the run counters.  Raises
+    ParameterError on an unusable parameter set and GenerationStalledError
+    when max_attempts consecutive candidates fail, naming the dominating
+    rejection reason.
     """
     return _generate(params, 1)
 

@@ -8,12 +8,18 @@ scalar public operations can never disagree on a strict comparison.  The
 distance of h to a row's hyperplane and the projection of h onto it come
 from ``center_terms`` alone, for the engines, the validator and the scalar
 operations alike.
+
+Likeness is shortlisted by where the rows come from: ``near_pairs`` for two
+stacks, ``stack_pairs`` for the pairs within one stack, walked in slabs, and
+``bounding_pairs`` for a stack against the rows a ``BoundingBlock`` holds in
+closed form, whose layout it reads from ``BoundingBlock.spec``.  Each pair a
+shortlist keeps is rechecked exactly.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .model import Inequality, diagonal_rhs
+from .model import BoundingBlock, Inequality
 
 
 def row_dots(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -141,6 +147,31 @@ def near_pairs(rows, queries, l_max: float, s_min: float) -> tuple[np.ndarray, n
     return qi[keep], ri[keep]
 
 
+# Later rows per slab of ``stack_pairs``: a slab's product holds at most
+# _PAIR_BLOCK x m dot products, so memory grows with m, not m^2.
+_PAIR_BLOCK = 256
+
+
+def stack_pairs(stack, l_max: float, s_min: float):
+    """The shortlist of likely-alike (later, earlier) pairs of rows of
+    ``stack``, a (unit rows, halves, offsets) triple as ``unit_rows``
+    returns it: one (later, earlier) pair of arrays per slab of at most
+    ``_PAIR_BLOCK`` later rows, in order of later row then earlier row.
+
+    A slab's rows are the queries of one ``near_pairs`` call against the
+    rows before its last, so every pair ``near_pairs`` would keep is kept;
+    callers recheck the gap of each pair exactly.
+    """
+    m = len(stack[0])
+    for lo in range(1, m, _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, m)
+        later, earlier = near_pairs([x[: hi - 1] for x in stack], [x[lo:hi] for x in stack],
+                                    l_max, s_min)
+        later += lo
+        keep = earlier < later
+        yield later[keep], earlier[keep]
+
+
 class SimilarityIndex:
     """Normalized constraint rows supporting batched likeness queries.
 
@@ -155,9 +186,9 @@ class SimilarityIndex:
     ``any_alike`` and ``append`` take one row or a stack of K rows.  A stack
     is judged as if its rows were queried one at a time in order, each
     appended when it is not alike: one ``near_pairs`` call against the
-    stored rows and one for the pairs within the stack whose row comes
-    first, both with the same recheck, then a walk of the alike pairs in
-    stack order.
+    stored rows and ``stack_pairs`` for the (later, earlier) pairs within
+    the stack, both with the same recheck, then a walk of the alike pairs
+    in order of the later row.
     """
 
     def __init__(self, n: int, l_max: float, s_min: float):
@@ -218,15 +249,13 @@ class SimilarityIndex:
         qi, ri = near_pairs((stored, self._halves[:k], self._offsets[:k]), stack, l_max, s_min)
         alike = np.zeros(len(a), dtype=bool)
         alike[qi[row_norms(stored[ri] - units[qi]) < l_max]] = True
-        qi, ri = near_pairs(stack, stack, l_max, s_min)
-        earlier = ri < qi
-        qi, ri = qi[earlier], ri[earlier]
-        hit = row_norms(units[ri] - units[qi]) < l_max
         # pairs (i, j) with j < i come in order of i, so row j is final
         # before row i is looked at
-        for i, j in zip(qi[hit].tolist(), ri[hit].tolist()):
-            if not alike[j]:
-                alike[i] = True
+        for qi, ri in stack_pairs(stack, l_max, s_min):
+            hit = row_norms(units[ri] - units[qi]) < l_max
+            for i, j in zip(qi[hit].tolist(), ri[hit].tolist()):
+                if not alike[j]:
+                    alike[i] = True
         return alike
 
 
@@ -250,58 +279,52 @@ def axis_pairs(rows, coef: float, rhs: float, l_max: float, s_min: float):
     return near[ii], jj
 
 
-class BoundingScreen:
-    """Likeness against the 2n+1 rows of ``build_support(n, alpha)``, from
-    their closed form instead of a stored (2n+1) x n matrix: the one code
-    that knows where a row can be alike to a bounding row.
+def bounding_pairs(block: BoundingBlock, stack, l_max: float, s_min: float):
+    """The alike pairs (k, i) of row k of ``stack`` and row i of the
+    ``BoundingBlock`` ``block`` that the block holds in closed form, one
+    array of each: the rows x_j <= alpha, then -x_j <= 0, then the diagonal.
+    ``stack`` is (unit rows, halves, offsets), as ``unit_rows`` returns them.
 
-    The rows x_j <= alpha are e_j with offset alpha and the rows -x_j <= 0
-    are -e_j with offset 0, so ``axis_pairs`` shortlists each family of n
-    rows in O(n) per row; the diagonal row has unit normal ones/sqrt(n).
-    Every shortlisted pair is rechecked with ``row_norms(unit - u)`` on the
-    same unit row a dense ``SimilarityIndex`` of the bounding rows holds,
-    which is also the gap ``likeness`` measures, so ``pairs`` holds exactly
-    the pairs ``likeness`` finds alike and ``alike_rows`` equals that
-    index's ``any_alike`` bit for bit.  Each screens a whole stack of rows
-    with one pass of each test, so a producer screens all survivors of a
-    block in one call.
+    The layout is read from ``block.spec``: each axis family, coef * e_j
+    with offset rhs, is shortlisted by ``axis_pairs`` in O(n) per row, and
+    the diagonal, coef at every position, has one unit row.  Every
+    shortlisted pair is rechecked with ``row_norms(unit - u)`` on the unit
+    row a dense ``SimilarityIndex`` of the bounding rows holds, which is
+    also the gap ``likeness`` measures, so the pairs are exactly those
+    ``likeness`` finds alike, without a stored (2n+1) x n matrix.
     """
+    units, _, offsets = stack
+    n = block.n
+    ks, rows = [], []
+    for first in (0, n):
+        _, coef, rhs = block.spec(first)
+        ii, jj = axis_pairs(stack, coef, rhs, l_max, s_min)
+        # unit - u for each shortlisted pair: 0 - u_k off the axis
+        diff = 0.0 - units[ii]
+        diff[np.arange(ii.size), jj] = coef - units[ii, jj]
+        hit = row_norms(diff) < l_max
+        ks.append(ii[hit])
+        rows.append(jj[hit] + first)
+    # the diagonal, coef at every position: each entry of its unit row is
+    # coef / nrm
+    _, coef, rhs = block.spec(2 * n)
+    nrm = float(row_norms(np.full(n, coef)))
+    near = np.flatnonzero(np.abs(rhs / nrm - offsets) < s_min)
+    near = near[row_norms(coef / nrm - units[near]) < l_max]
+    ks.append(near)
+    rows.append(np.full(near.size, 2 * n))
+    k, i = np.concatenate(ks), np.concatenate(rows)
+    if block.edits:
+        held = np.isin(i, list(block.edits), invert=True)
+        k, i = k[held], i[held]
+    return k, i
 
-    def __init__(self, n: int, alpha: float, l_max: float, s_min: float):
-        self._n = n
-        self._alpha = float(alpha)
-        self._l_max = l_max
-        self._s_min = s_min
-        ones = np.ones(n)
-        nrm = float(row_norms(ones))
-        self._diag_unit = ones / nrm
-        self._diag_offset = float(diagonal_rhs(n, alpha)) / nrm
 
-    def pairs(self, stack) -> tuple[np.ndarray, np.ndarray]:
-        """The alike pairs (k, i) of row k of ``stack`` and bounding row i,
-        one array of each: the rows x_j <= alpha, then -x_j <= 0, then the
-        diagonal.  ``stack`` is (unit rows, halves, offsets), as
-        ``unit_rows`` returns them."""
-        units, _, beta = stack
-        n, l_max, s_min = self._n, self._l_max, self._s_min
-        ks, rows = [], []
-        for coef, rhs, first in ((1.0, self._alpha, 0), (-1.0, 0.0, n)):
-            ii, jj = axis_pairs(stack, coef, rhs, l_max, s_min)
-            # unit - u for each shortlisted pair: 0 - u_k off the axis
-            diff = 0.0 - units[ii]
-            diff[np.arange(ii.size), jj] = coef - units[ii, jj]
-            hit = row_norms(diff) < l_max
-            ks.append(ii[hit])
-            rows.append(jj[hit] + first)
-        diag = np.flatnonzero(np.abs(self._diag_offset - beta) < s_min)
-        diag = diag[row_norms(self._diag_unit - units[diag]) < l_max]
-        ks.append(diag)
-        rows.append(np.full(diag.size, 2 * n))
-        return np.concatenate(ks), np.concatenate(rows)
-
-    def alike_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """For each row of the stack ``a`` with right-hand side ``b``, whether
-        it is alike to some bounding row."""
-        hit = np.zeros(len(a), dtype=bool)
-        hit[self.pairs(unit_rows(a, b, "compared"))[0]] = True
-        return hit
+def bounding_alike(block: BoundingBlock, a, b, l_max: float, s_min: float) -> np.ndarray:
+    """For each row of the stack ``a`` with right-hand side ``b``, whether it
+    is alike to a row that ``block`` holds in closed form: the verdict of
+    ``any_alike`` on a dense ``SimilarityIndex`` of those rows, bit for bit.
+    A zero row raises ``ValueError``."""
+    hit = np.zeros(len(a), dtype=bool)
+    hit[bounding_pairs(block, unit_rows(a, b, "compared"), l_max, s_min)[0]] = True
+    return hit

@@ -12,8 +12,9 @@ generator used, the distance and the projection through its
 All checks share one stack of the rows the instance does not hold in
 closed form, the edited bounding rows and the random rows, in row order:
 an unusable row is reported, zeroed and masked, and the pair walk
-normalizes the stack in place.  Every bounding row held in closed form is
-paired with the stack through ``BoundingScreen.pairs``.
+normalizes the stack in place.  Its pairs come from ``geometry.stack_pairs``,
+and every bounding row held in closed form is paired with the stack through
+``geometry.bounding_pairs``.
 
 ``verify_support_solution`` checks the known optimum of the bounding system
 by brute-force vertex enumeration, deliberately an independent code path from
@@ -28,15 +29,15 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import (
-    BoundingScreen,
+    bounding_pairs,
     center_terms,
     hypercube_center,
     likeness,
-    near_pairs,
     objective_value,
     row_dots,
     row_norms,
     row_sumsq,
+    stack_pairs,
 )
 from .model import (
     BoundingBlock,
@@ -188,28 +189,21 @@ def validate_instance(inst: LPInstance) -> ValidationReport:
     B /= norms
     units = X[usable]
     stack = (units, row_sumsq(units) / 2.0, B[usable])
-    screen = BoundingScreen(n, p.alpha, p.l_max, p.s_min)
-    out.extend(_pairwise_likeness_violations(inst, xi[usable], stack, screen, p.l_max, p.s_min))
+    out.extend(_pairwise_likeness_violations(inst, xi[usable], stack, p.l_max, p.s_min))
     return ValidationReport(not out, tuple(out))
 
 
-# Rows of the upper-triangle Gram slab computed at a time: the slab holds
-# _PAIR_BLOCK x m dot products, so memory grows with m, not m^2.
-_PAIR_BLOCK = 256
-
-
-def _pairwise_likeness_violations(inst, xi, stack, screen, l_max, s_min):
+def _pairwise_likeness_violations(inst, xi, stack, l_max, s_min):
     """All-pairs dissimilarity check of the usable rows, in row-major (i, j) order.
 
     ``stack`` is (unit rows, halves, offsets) of the usable stacked rows,
     its row k constraint ``xi[k]``.  The shortlist holds every pair within
     the direction and offset bounds, found by where its rows come from:
 
-    * two stacked rows: ``near_pairs``, walked in blocks of ``_PAIR_BLOCK``
-      rows against the rows after the block's first;
+    * two stacked rows: ``stack_pairs``, the walk ``any_alike`` makes
+      within a batch;
     * a stacked row and a bounding row held in closed form:
-      ``screen.pairs``, the ``BoundingScreen`` the generator uses, less the
-      pairs whose bounding row is stacked as an edit.
+      ``bounding_pairs`` of the instance's block, the generator's screen.
 
     Two bounding rows held in closed form are never alike once
     ``bound_violations`` passes: +-e_j and +-e_k are sqrt(2) or more apart
@@ -221,15 +215,12 @@ def _pairwise_likeness_violations(inst, xi, stack, screen, l_max, s_min):
     Each survivor is rechecked with the exact scalar predicate, so the
     verdict never depends on BLAS summation order or on how the pair was
     shortlisted.  The reported gap is the one ``likeness`` measures, read
-    off the two rows the recheck builds.  Peak memory
-    is O(_PAIR_BLOCK * m), not O(m^2).
+    off the two rows the recheck builds.  Peak memory is that of one slab of
+    ``stack_pairs``, at most 256 x m dot products, not O(m^2).
     """
-    pairs = list(_stack_pairs(xi, stack, l_max, s_min))
-    k, i = screen.pairs(stack)
-    edited = np.zeros(2 * inst.n + 1, dtype=bool)
-    edited[list(inst.bounding.edits)] = True
-    closed = ~edited[i]
-    x, i = xi[k[closed]], i[closed]
+    pairs = [(xi[earlier], xi[later]) for later, earlier in stack_pairs(stack, l_max, s_min)]
+    k, i = bounding_pairs(inst.bounding, stack, l_max, s_min)
+    x = xi[k]
     pairs.append((np.minimum(x, i), np.maximum(x, i)))
     ii, jj = (np.concatenate(x) for x in zip(*pairs))
     order = np.lexsort((jj, ii))
@@ -248,19 +239,6 @@ def _pairwise_likeness_violations(inst, xi, stack, screen, l_max, s_min):
                 )
             )
     return out
-
-
-def _stack_pairs(idx, stack, l_max, s_min):
-    """Shortlisted (earlier, later) row index pairs among the rows of
-    ``stack``, whose row k is row ``idx[k]``."""
-    for lo in range(0, len(idx) - 1, _PAIR_BLOCK):
-        hi = min(lo + _PAIR_BLOCK, len(idx) - 1)
-        ii, jj = near_pairs([x[lo + 1 :] for x in stack], [x[lo:hi] for x in stack],
-                            l_max, s_min)
-        ii += lo
-        jj += lo + 1
-        keep = jj > ii
-        yield idx[ii[keep]], idx[jj[keep]]
 
 
 def _solve_square(A: np.ndarray, b: np.ndarray, tol: float = 1e-9):

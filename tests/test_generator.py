@@ -336,19 +336,11 @@ def test_accepted_rows_differ_across_block_boundaries():
         assert abs(q.b) <= params.b_max
 
 
-class LoopedScreen:
-    """``alike_rows`` of an index, one ``any_alike`` call per row."""
-
-    def __init__(self, index):
-        self._index = index
-
-    def alike_rows(self, a, b):
-        return np.array([self._index.any_alike(r, v) for r, v in zip(a, b.tolist())], dtype=bool)
-
-
-def dense_bounding_screen(n, alpha, l_max, s_min):
-    """The bounding rows stored densely, as the engines once held them."""
-    return LoopedScreen(SimilarityIndex.from_inequalities(build_support(n, alpha), n, l_max, s_min))
+def dense_bounding_alike(block, a, b, l_max, s_min):
+    """The bounding rows stored densely, as the engines once held them, and
+    one ``any_alike`` call per row."""
+    index = SimilarityIndex.from_inequalities(block.rows(), block.n, l_max, s_min)
+    return np.array([index.any_alike(r, v) for r, v in zip(a, b.tolist())], dtype=bool)
 
 
 ENGINE_CASES = [
@@ -365,7 +357,7 @@ ENGINE_CASES = [
 def test_engines_decide_as_with_the_dense_bounding_index(monkeypatch, params):
     engine = generate_parallel if params.workers > 1 else generate_sequential
     inst, stats = engine(params)
-    monkeypatch.setattr(generator_module, "BoundingScreen", dense_bounding_screen)
+    monkeypatch.setattr(generator_module, "bounding_alike", dense_bounding_alike)
     dense_inst, dense_stats = engine(params)
     assert instance_to_text(inst) == instance_to_text(dense_inst)
     assert replace(stats, wall_time_ms=0.0) == replace(dense_stats, wall_time_ms=0.0)

@@ -1,5 +1,6 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,16 +17,20 @@ from randlp import (
     objective_value,
     project_center,
 )
+from randlp import geometry
 from randlp.geometry import (
-    BoundingScreen,
     axis_pairs,
+    bounding_alike,
+    bounding_pairs,
     direction_cut,
     near_pairs,
     row_dots,
     row_norms,
     row_sumsq,
+    stack_pairs,
     unit_rows,
 )
+from randlp.model import BoundingBlock
 
 H = hypercube_center(2, 200.0)
 
@@ -206,19 +211,19 @@ def dense_bounding(n, l_max, s_min):
 
 
 def assert_screen_matches_dense(n, l_max, s_min, rows):
-    screen = BoundingScreen(n, ALPHA, l_max, s_min)
+    block = BoundingBlock.canonical(n, ALPHA)
     dense = dense_bounding(n, l_max, s_min)
     for a, b in rows:
-        got = screen.alike_rows(np.asarray(a)[None, :], np.array([b]))[0]
+        got = bounding_alike(block, np.asarray(a)[None, :], np.array([b]), l_max, s_min)[0]
         assert got == dense.any_alike(a, b), (a, b, l_max, s_min)
 
 
 def assert_pairs_match_likeness(n, l_max, s_min, rows):
-    """``BoundingScreen.pairs`` of the stacked rows are exactly the (row,
+    """``bounding_pairs`` of the stacked rows are exactly the (row,
     bounding row) pairs for which ``likeness`` holds."""
     stack = unit_rows(np.stack([np.asarray(a) for a, _ in rows]),
                       np.array([b for _, b in rows]), "compared")
-    k, i = BoundingScreen(n, ALPHA, l_max, s_min).pairs(stack)
+    k, i = bounding_pairs(BoundingBlock.canonical(n, ALPHA), stack, l_max, s_min)
     want = {
         (x, y)
         for x, row in enumerate(Inequality(a, b) for a, b in rows)
@@ -326,8 +331,8 @@ def test_screen_matches_dense_index_at_the_thresholds(n):
                 assert_pairs_match_likeness(n, l_max, s_min, [(a, b)])
         # the row itself sits at gap 0 and offset difference 0
         unit, offset = units[k]
-        screen = BoundingScreen(n, ALPHA, 0.35, 100.0)
-        assert screen.alike_rows(3.0 * unit[None, :], np.array([3.0 * offset]))[0]
+        block = BoundingBlock.canonical(n, ALPHA)
+        assert bounding_alike(block, 3.0 * unit[None, :], np.array([3.0 * offset]), 0.35, 100.0)[0]
 
 
 def assert_stack_matches_dense(n, l_max, s_min, rows):
@@ -335,7 +340,7 @@ def assert_stack_matches_dense(n, l_max, s_min, rows):
     b = np.array([v for _, v in rows])
     dense = dense_bounding(n, l_max, s_min)
     want = [dense.any_alike(r, v) for r, v in rows]
-    got = BoundingScreen(n, ALPHA, l_max, s_min).alike_rows(a, b)
+    got = bounding_alike(BoundingBlock.canonical(n, ALPHA), a, b, l_max, s_min)
     assert got.dtype == bool
     assert got.tolist() == want, (l_max, s_min)
 
@@ -381,7 +386,7 @@ def test_screen_alike_rows_matches_dense_index_at_the_thresholds(n):
 def test_screen_alike_rows_rejects_a_zero_row():
     a = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
-        BoundingScreen(3, ALPHA, 0.35, 100.0).alike_rows(a, np.array([1.0, 1.0]))
+        bounding_alike(BoundingBlock.canonical(3, ALPHA), a, np.array([1.0, 1.0]), 0.35, 100.0)
 
 
 @pytest.mark.parametrize("n", SCREEN_NS)
@@ -402,9 +407,26 @@ def test_screen_matches_dense_index_on_underflowing_rows(n, seed, spread):
         assert_pairs_match_likeness(n, l_max, 100.0, [(a, b)])
 
 
+@pytest.mark.parametrize("n", STACK_NS)
+def test_bounding_pairs_leave_out_the_edited_rows(n):
+    # rows near every bounding row, each alike to it, against blocks with
+    # edits: the pairs are the canonical block's, less the edited rows'
+    gen = np.random.default_rng(n)
+    rows = [near_row(gen, unit, offset, 0.01, 1.0, 2.0) for unit, offset in bounding_units(n)]
+    stack = unit_rows(np.stack([a for a, _ in rows]), np.array([b for _, b in rows]), "compared")
+    k, i = bounding_pairs(BoundingBlock.canonical(n, ALPHA), stack, 0.35, 100.0)
+    assert set(range(2 * n + 1)) <= set(i.tolist())
+    for edited in ([0], [2 * n], [n - 1, n, 2 * n], list(range(0, 2 * n + 1, 2))):
+        edits = {e: Inequality(np.full(n, 7.0), 1.0) for e in edited}
+        got = bounding_pairs(BoundingBlock(n, ALPHA, edits), stack, 0.35, 100.0)
+        held = ~np.isin(i, edited)
+        assert [x.tolist() for x in got] == [k[held].tolist(), i[held].tolist()]
+
+
 def test_screen_rejects_a_zero_row_like_the_index():
     with pytest.raises(ValueError):
-        BoundingScreen(3, ALPHA, 0.35, 100.0).alike_rows(np.zeros((1, 3)), np.array([1.0]))
+        bounding_alike(BoundingBlock.canonical(3, ALPHA), np.zeros((1, 3)), np.array([1.0]),
+                       0.35, 100.0)
 
 
 # --- shortlisted accepted-row index versus the dense predicate ---------------
@@ -670,6 +692,17 @@ def test_near_pairs_keeps_every_alike_pair_in_query_then_row_order(
     assert got == sorted(set(got))  # query then row, each pair once
     assert set(want) <= set(got)
     assert all(abs(offsets[j] - q_offsets[i]) < s_min for i, j in got)
+    # the (later, earlier) pairs within the rows, walked a slab at a time
+    within = [(i, j) for i in range(len(units)) for j in range(i)
+              if float(row_norms(units[j] - units[i])) < l_max
+              and abs(offsets[j] - offsets[i]) < s_min]
+    for slab in (1, 7, 256):
+        with mock.patch.object(geometry, "_PAIR_BLOCK", slab):
+            walked = [(i, j) for later, earlier in stack_pairs(rows, l_max, s_min)
+                      for i, j in zip(later.tolist(), earlier.tolist())]
+        assert walked == sorted(set(walked))  # later then earlier, each pair once
+        assert all(j < i and abs(offsets[j] - offsets[i]) < s_min for i, j in walked)
+        assert set(within) <= set(walked)
     if case == "axis":
         qi, ji = axis_pairs(queries, coef, rhs, l_max, s_min)
         axis = list(zip(qi.tolist(), ji.tolist()))

@@ -387,3 +387,65 @@ def test_repr_names_the_instance_and_builds_no_row(monkeypatch):
     monkeypatch.setattr(BoundingBlock, "row", refused)
     assert repr(inst) == "LPInstance(n=2000, d=5, alpha=200.0, seed=1, edits=0)"
     assert "support" not in vars(inst) and "random" not in vars(inst)
+
+
+def test_comparing_an_edited_wide_instance_builds_only_its_edits(monkeypatch):
+    inst, _ = generate_sequential(GeneratorParams(n=4000, d=2, seed=1))
+    row0 = Inequality(np.eye(4000)[0], 199.0)
+    edited = replace(inst, bounding=BoundingBlock(4000, 200.0, {0: row0}))
+
+    def refused(self):
+        raise AssertionError("equality built every bounding row")
+
+    monkeypatch.setattr(BoundingBlock, "rows", refused)
+    assert edited == replace(inst, bounding=BoundingBlock(4000, 200.0, {0: row0}))
+    assert edited != inst and inst != edited
+    # an edit equal to its canonical row, -0.0 in it, is equal to it
+    same = Inequality(np.where(np.eye(4000)[0] == 0.0, -0.0, 1.0), 200.0)
+    assert replace(inst, bounding=BoundingBlock(4000, 200.0, {0: same})) == inst
+
+
+def _row_by_row(x, y):
+    """The reference: every bounding row of both blocks built and compared."""
+    return x.n == y.n and all(q == r for q, r in zip(x.rows(), y.rows()))
+
+
+def _equality_cases():
+    n = 2
+    nan = float("nan")
+    # alphas one ulp apart whose diagonals round to the same right-hand side
+    a = 729.7670644230144
+    b = float(np.nextafter(a, np.inf))
+    diagonal = BoundingBlock.canonical(n, a).spec(2 * n)
+    assert a != b and diagonal == BoundingBlock.canonical(n, b).spec(2 * n)
+    axes_a = {i: BoundingBlock.canonical(n, 1.0).row(i) for i in range(n)}
+    axes_b = dict(axes_a)
+    axes_b[1] = Inequality([0.0, 1.0], 2.0)
+    # edits equal to their canonical rows at alpha 200, one with -0.0 in it
+    as_canonical = {2: Inequality([-1.0, -0.0], -0.0), 4: Inequality([1.0, 1.0], 300.0)}
+    return [
+        BoundingBlock.canonical(n, 200.0),
+        BoundingBlock.canonical(n, -0.0),
+        BoundingBlock.canonical(n, 0.0),
+        BoundingBlock.canonical(n, nan),
+        BoundingBlock(n, nan, {**axes_a, 4: Inequality([1.0, 1.0], 1.5)}),
+        BoundingBlock(n, 200.0, as_canonical),
+        BoundingBlock(n, 200.0, {0: Inequality([1.0, -0.0], 200.0)}),
+        BoundingBlock(n, 200.0, {3: Inequality([0.0, -1.0], nan)}),
+        BoundingBlock(n, a, axes_a),
+        BoundingBlock(n, b, axes_a),
+        BoundingBlock(n, b, axes_b),
+        BoundingBlock(n, a, {}),
+        BoundingBlock.canonical(3, 200.0),
+    ]
+
+
+def test_block_equality_matches_the_row_by_row_reference():
+    blocks = _equality_cases()
+    verdicts = [(x == y, _row_by_row(x, y)) for x in blocks for y in blocks]
+    assert all(got == want for got, want in verdicts)
+    # the cases hold equal and unequal pairs besides each block and itself
+    assert sum(want for _, want in verdicts) > len(blocks)
+    assert blocks[5] == blocks[0]
+    # every x_j <= alpha row edited alike, and diagonals that round equal
+    assert blocks[8] == blocks[9] and blocks[8] != blocks[10] and blocks[11] != blocks[9]

@@ -10,6 +10,7 @@ from randlp import (
     GenerationStalledError,
     GenerationStats,
     GeneratorParams,
+    ParameterError,
     build_objective,
     build_support,
     derive_stream,
@@ -42,6 +43,18 @@ def test_parallel_output_depends_on_worker_count():
     a, _ = generate_parallel(make_params(workers=2))
     b, _ = generate_parallel(make_params(workers=3))
     assert a != b
+
+
+def test_the_sequential_engine_records_its_one_worker():
+    # one worker on stream 0 ran, whatever params.workers says
+    inst, stats = generate_sequential(GeneratorParams(n=3, d=2, workers=4))
+    assert inst.params.workers == 1
+    one, one_stats = generate_parallel(GeneratorParams(n=3, d=2, workers=1))
+    assert inst == one and one.params == inst.params
+    assert replace(stats, wall_time_ms=0.0) == replace(one_stats, wall_time_ms=0.0)
+    # the recorded count is set after the check, which still refuses 0
+    with pytest.raises(ParameterError, match="workers >= 1"):
+        generate_sequential(GeneratorParams(n=3, d=2, workers=0))
 
 
 def test_parallel_support_only_runs_no_rounds():

@@ -28,7 +28,7 @@ from randlp import (
     validate_params,
     verify_support_solution,
 )
-from randlp import validator
+from randlp import geometry, validator
 from randlp.geometry import hypercube_center, row_dots, row_norms
 from randlp.model import BoundingBlock, bound_violations
 
@@ -414,7 +414,7 @@ def test_blocked_pairs_match_all_pairs_reference(tampered_tall, unusable_boundin
     assert {(257, "alike with constraint 256"), (300, "alike with constraint 5"),
             (290, "alike with constraint 256"), (330, "alike with constraint 0")} <= set(want)
     assert not any(j in (200, 320) or cond.endswith((" 200", " 320")) for j, cond in want)
-    monkeypatch.setattr(validator, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
     rechecks = []
 
     def counted(*args):
@@ -614,23 +614,12 @@ def read_back(inst):
     return replace(read_instance(io.StringIO(instance_to_text(inst))), params=inst.params)
 
 
-def from_arrays(inst, k):
-    """inst split at row k into bounding rows and random rows, built from
-    arrays: the bounding rows in closed form where they are canonical."""
-    rows = inst.constraints
-    a = np.array([q.a for q in rows[k:]]).reshape(-1, inst.n)
-    b = np.array([q.b for q in rows[k:]])
-    block = BoundingBlock.from_rows(inst.n, inst.params.alpha, rows[:k])
-    return LPInstance(inst.n, block, a, b, inst.c, inst.params)
-
-
 @pytest.mark.parametrize("name", list(TAMPERINGS))
 def test_tampered_instances_report_the_same_from_tuples_arrays_and_text(row_condition_instance,
                                                                         name):
     bad = tampered(row_condition_instance, TAMPERINGS[name])
     with np.errstate(over="ignore"):
         want = violation_list(validate_instance(bad))
-        assert violation_list(validate_instance(from_arrays(bad, len(bad.support)))) == want
         assert alike_violations(validate_instance(bad)) == all_pairs_reference(bad)
         if all(np.isfinite(q.a).all() and math.isfinite(q.b) for q in bad.constraints):
             assert violation_list(validate_instance(read_back(bad))) == want
@@ -641,28 +630,24 @@ def test_tampered_instances_report_the_same_from_tuples_arrays_and_text(row_cond
             q = replace(bad.params, alpha=alpha)
             with pytest.raises(ValueError, match="not params.alpha"):
                 replace(bad, params=q)
-            moved = with_rows(bad, params=q)
-            got = validate_instance(from_arrays(moved, len(moved.support)))
-            assert violation_list(got) == violation_list(validate_instance(moved))
+            got = violation_list(validate_instance(with_rows(bad, params=q)))
+            assert [v[:2] for v in got[:bad.n]] == [(i, "bounding row mismatch")
+                                                     for i in range(bad.n)]
 
 
 @pytest.mark.parametrize("k", [0, 5, 10, 11, 12, 20, 30])
 def test_any_split_reports_the_same_from_tuples_and_arrays(row_condition_instance, k):
-    # only the split at 2n+1 = 11 builds; every other is refused by both
-    # constructors
+    # only the split at 2n+1 = 11 builds; every other is refused
     inst = row_condition_instance
     rows = inst.constraints
     if k != 2 * inst.n + 1:
         with pytest.raises(ValueError, match=f"expected 2n\\+1 = 11 bounding rows, got {k}"):
             with_rows(inst, support=rows[:k], random=rows[k:])
-        with pytest.raises(ValueError, match=f"expected 2n\\+1 = 11 bounding rows, got {k}"):
-            from_arrays(inst, k)
         return
     split = with_rows(inst, support=rows[:k], random=rows[k:])
     report = validate_instance(split)
     assert report.ok
-    assert split == inst == from_arrays(inst, k)
-    assert violation_list(validate_instance(from_arrays(inst, k))) == violation_list(report)
+    assert split == inst
 
 
 def test_n1_file_reports_the_diagonal_alike_with_the_first_row():
