@@ -11,32 +11,46 @@ Bounding rows come first in canonical order, then the accepted random rows in
 acceptance order.  The header is redundant on purpose: m must equal 2n+1+d.
 
 Bounding rows are mostly zeros, so both directions use a template: the text
-of each canonical row, built one row at a time from ``BoundingBlock.spec``
-of the canonical block with ``_fmt(alpha)`` and ``_fmt((n-1)*alpha +
-alpha/2)``.  The writer emits the template for each row the instance's
-``BoundingBlock`` holds in closed form.  Every other constraint row, an
-edited bounding row (say one holding -0.0 or nan) or a random row, is
-formatted with one row format, one ``%`` over its n+1 numbers.  Either way
-the bytes are exactly those of formatting every token on its own.  The writer
-hands the text out line by line, so a file is written without the whole text
-in memory; the file object buffers it.  An instance holds exactly its 2n+1
-bounding rows under its own alpha (its constructors refuse any other), so
-every instance has a text.
+of each canonical row, built one row at a time by ``_template`` from
+``BoundingBlock.spec`` of the canonical block.  The writer emits the template
+for each row the instance's ``BoundingBlock`` holds in closed form.  Every
+other constraint row, an edited bounding row (say one holding -0.0 or nan)
+or a random row, is formatted with one row format, one ``%`` over its n+1
+numbers.  Either way the bytes are exactly those of formatting every token on
+its own.  The writer hands the text out line by line, so a file is written
+without the whole text in memory; the file object buffers it.  An instance
+holds exactly its 2n+1 bounding rows under its own alpha (its constructors
+refuse any other), so every instance has a text.
 
-The reader keeps a bounding line equal to its template in closed form.  It
-parses every other bounding line (``200.0`` for ``200``, say) together with
-the d random lines, as one block with ``np.loadtxt``, which converts each
+The reader, too, goes through the text line by line, as ``str.splitlines``
+splits the whole text, and keeps only the lines it will parse.  It takes the
+text from its source some at a time, about 64 KiB of it, so it holds one
+such piece and the kept lines, never the whole text.  A path, and a text
+file object that has decoded nothing yet, are read as bytes and decoded as
+the file object decodes them, so a byte that does not decode is named by
+its offset in the input, a pipe's too.  It compares each bounding line
+with its template as it arrives, and builds that template only when the
+line is as long as the template, so a header claiming a huge n allocates
+nothing until the lines bear it out.  The bounding lines that
+differ from their template (``200.0`` for ``200``, say), the diagonal's line
+when its right-hand side overflows, and the d random lines are parsed after
+the end of input, as one block with ``np.loadtxt``, which converts each
 number as ``float`` does; ``BoundingBlock.from_rows`` then keeps a parsed
 bounding row in closed form too when it is bitwise the canonical one.  When
 the block parse raises, gives another shape or a number that is not finite,
 the lines are parsed token by token instead, which also accepts what only
 ``float`` accepts (``1_0``, digits of other scripts) and raises the
 ``ParseError`` of the first bad line.  Every number read must be finite.
+Errors are raised only once the input is read, in the order: a byte that
+does not decode, the header, the line count, then the first bad line.
 """
 from __future__ import annotations
 
+import codecs
 import dataclasses
+import io
 import math
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +61,6 @@ from .model import (
     GeneratorParams,
     Inequality,
     LPInstance,
-    diagonal_rhs,
 )
 
 
@@ -65,17 +78,19 @@ def _text(values: list[float]) -> str:
     return " ".join(["%.17g"] * len(values)) % tuple(values)
 
 
-def _templates(n: int, alpha: float):
-    """The text of each canonical bounding row under alpha, in order, built
-    without formatting every zero."""
-    zeros = "0 " * n
-    block = BoundingBlock.canonical(n, alpha)
-    for j, coef, rhs in map(block.spec, range(2 * n + 1)):
-        tok = _fmt(coef) + " "
-        if j is None:
-            yield tok * n + _fmt(rhs)
-        else:
-            yield zeros[: 2 * j] + tok + zeros[: 2 * (n - 1 - j)] + _fmt(rhs)
+def _template(n: int, j, coef: float, rhs: float, size: int | None = None):
+    """The text of the canonical bounding row ``(j, coef, rhs)`` of
+    ``BoundingBlock.spec``, built without formatting every zero; None when
+    ``size`` is given and the text is not that long, which is known before
+    it is built."""
+    tok, end = _fmt(coef) + " ", _fmt(rhs)
+    if size is not None:
+        coefs = n if j is None else 1
+        if size != coefs * len(tok) + 2 * (n - coefs) + len(end):
+            return None
+    if j is None:
+        return tok * n + end
+    return "0 " * j + tok + "0 " * (n - 1 - j) + end
 
 
 def _lines(inst: LPInstance):
@@ -86,9 +101,10 @@ def _lines(inst: LPInstance):
     yield f"{n} {inst.m} {inst.d} {inst.params.seed}\n"
     # tolist() gives the same binary64 values as Python floats, without a
     # float() call per number
-    for i, template in enumerate(_templates(n, block.alpha)):
+    for i in range(2 * n + 1):
         q = block.edits.get(i)
-        yield template + "\n" if q is None else row_format % (*q.a.tolist(), q.b)
+        yield (_template(n, *block.spec(i)) + "\n" if q is None
+               else row_format % (*q.a.tolist(), q.b))
     for a, b in zip(inst.random_a, inst.random_b.tolist()):
         yield row_format % (*a.tolist(), b)
     yield _text(inst.c.tolist()) + "\n"
@@ -146,25 +162,119 @@ def _parse_block(lines: list[str], line_nos: list[int], n: int) -> np.ndarray:
     return block
 
 
+# the reader takes its source about this many characters or bytes at a time
+_BATCH = 1 << 16
+
+# every character at which str.splitlines breaks a line
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def read_instance(source) -> LPInstance:
     """Parse a path or readable text file object back into an instance.
 
-    The stored format does not carry every generation knob; alpha and theta
-    are recovered from the first bounding row and the last objective
-    coefficient, the remaining parameters stay at their defaults.
+    The text is taken some at a time, a path's in the encoding
+    ``Path.read_text`` uses; only a text file object that has decoded text
+    ahead of its caller is read whole.  The stored format does not carry every
+    generation knob; alpha and theta are recovered from the first bounding
+    row and the last objective coefficient, the remaining parameters stay at
+    their defaults.
     """
-    try:
-        text = source.read() if hasattr(source, "read") else Path(source).read_text()
-    except UnicodeDecodeError as err:
-        raise ParseError(f"byte {err.start}: not {err.encoding} text") from None
-    lines = text.splitlines()
-    del text
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ParseError("empty input")
+    if not hasattr(source, "read"):
+        with Path(source).open() as f:
+            return _read(_decoded(f))
+    if isinstance(source, io.TextIOWrapper) and _unread(source):
+        return _read(_decoded(source))
+    return _read(_pieces(source))
 
-    head = lines[0].split()
+
+def _not_text(err: UnicodeDecodeError, offset: int) -> ParseError:
+    return ParseError(f"byte {offset}: not {err.encoding} text")
+
+
+def _unread(f: io.TextIOWrapper) -> bool:
+    """Whether f holds no text it has decoded ahead of its caller:
+    ``reconfigure`` refuses a stream's encoding once it has read."""
+    try:
+        f.reconfigure(encoding=f.encoding, errors=f.errors)
+    except io.UnsupportedOperation:
+        return False
+    return True
+
+
+def _decoded(f: io.TextIOWrapper):
+    """The text of f, which holds none decoded, decoded from its binary
+    buffer some at a time as f decodes, so that a byte that does not decode
+    is named by its offset from where f stood, a pipe's too.  f's newline
+    translation is left out: it only turns one break of ``str.splitlines``
+    into another."""
+    decoder = codecs.getincrementaldecoder(f.encoding)(f.errors)
+    end = 0  # the bytes read
+    while True:
+        raw = f.buffer.read(_BATCH)
+        end += len(raw)
+        try:
+            text = decoder.decode(raw, final=not raw)
+        except UnicodeDecodeError as err:
+            # err.object is the bytes the decoder held, then raw
+            raise _not_text(err, end - len(err.object) + err.start) from None
+        yield text
+        if not raw:
+            return
+
+
+def _pieces(f):
+    """The text of any other file object f, some at a time.  A TextIOWrapper
+    that holds text it has decoded ahead of its caller is read whole, so
+    that a byte that does not decode is named by its offset from where its
+    read began; an object that decodes a piece at a time (a ``codecs``
+    reader) names it from the start of that piece."""
+    size = -1 if isinstance(f, io.TextIOWrapper) else _BATCH
+    try:
+        while piece := f.read(size):
+            yield piece
+    except UnicodeDecodeError as err:
+        raise _not_text(err, err.start) from None
+
+
+def _split(pieces):
+    """Lists of the lines of the text whose pieces ``pieces`` gives; chained,
+    they are ``str.splitlines`` of the whole text."""
+    held = ""  # the end of the text, which the next piece may go on
+    for piece in pieces:
+        text = held + piece
+        if any(map(text.__contains__, _BREAKS[1:])):
+            lines = text.splitlines()
+            held, last = "", text[-1]
+            if last == "\r" or last not in _BREAKS:
+                # the last line may go on, or a "\n" end its "\r"
+                held = lines.pop() + last * (last == "\r")
+        else:
+            # "\n" is the only break: splitting at it is a search, faster
+            # than splitlines' test of each character; the last part may go on
+            lines = text.split("\n")
+            held = lines.pop()
+        yield lines
+    yield held.splitlines()
+
+
+def _without_trailing_blanks(lists):
+    """The lists of lines ``lists`` gives, without the whitespace-only lines
+    that end the last of them."""
+    blank = []
+    for lines in lists:
+        k = len(lines)
+        while k and not lines[k - 1].strip():
+            k -= 1
+        if k:
+            yield blank + lines[:k]
+            blank = lines[k:]
+        else:
+            blank += lines
+
+
+def _header(line: str):
+    """(n, m, d, seed) from the header line."""
+    head = line.split()
     if len(head) != 4:
         raise ParseError(f"line 1: expected 'n m d seed', found {len(head)} fields")
     try:
@@ -179,32 +289,66 @@ def read_instance(source) -> LPInstance:
         raise ParseError(f"line 1: m = {m} inconsistent with 2n+1+d = {2 * n + 1 + d}")
     if not 0 <= seed < 2**64:
         raise ParseError("line 1: seed must be a 64-bit unsigned integer")
+    return n, m, d, seed
 
-    expected_lines = 1 + m + 1
-    if len(lines) != expected_lines:
+
+def _read(pieces) -> LPInstance:
+    lines = chain.from_iterable(_without_trailing_blanks(_split(pieces)))
+    head = next(lines, None)
+    if head is None:
+        raise ParseError("empty input")
+    try:
+        n, m, d, seed = _header(head)
+    except ParseError:
+        for _ in lines:  # a byte that does not decode is reported first
+            pass
+        raise
+
+    # Line 2, the first bounding row, carries alpha, which sets the text
+    # expected of every bounding row.  A bounding line that differs from
+    # that text, even by spelling a number another way, and the diagonal's
+    # line when its right-hand side overflows, are kept to be parsed with
+    # the random lines; ``BoundingBlock.from_rows`` keeps such a row in
+    # closed form when it is bitwise the canonical one.  After a bad line 2
+    # the lines are only counted, since the line count is reported first.
+    first, expected = 2 * n + 1, m + 2
+    kept, kept_nos = [], []
+    error = None
+    count = 1  # the last line number read
+    for count, line in enumerate(islice(lines, first), 2):
+        if count == 2:
+            try:
+                alpha = _floats(line, 2, n + 1)[n]
+            except ParseError as err:
+                error = err
+                break
+            canonical = BoundingBlock.canonical(n, alpha)
+        j, coef, rhs = canonical.spec(count - 2)
+        if not math.isfinite(rhs) or line != _template(n, j, coef, rhs, len(line)):
+            kept.append(line)
+            kept_nos.append(count)
+    if error is None:
+        random = list(islice(lines, d))
+        kept += random
+        kept_nos += range(count + 1, count + 1 + len(random))
+        count += len(random)
+        objective = next(lines, None)
+        count += objective is not None
+    count += sum(1 for _ in lines)
+    if count != expected:
         raise ParseError(
-            f"expected {expected_lines} lines (header, {m} constraint rows, "
-            f"objective), found {len(lines)}"
+            f"expected {expected} lines (header, {m} constraint rows, "
+            f"objective), found {count}"
         )
+    if error is not None:
+        raise error
 
-    # The first bounding row carries alpha, which sets the text expected of
-    # every bounding row.  A line that differs from that text, even by
-    # spelling a number another way, and the diagonal's line when its
-    # right-hand side overflows, are parsed with the random lines;
-    # ``BoundingBlock.from_rows`` keeps such a row in closed form when it is
-    # bitwise the canonical one.
-    alpha = _floats(lines[1], 2, n + 1)[n]
-    first = 2 * n + 1
-    overflow = not math.isfinite(diagonal_rhs(n, alpha))
-    picked = [i for i, template in enumerate(_templates(n, alpha))
-              if lines[1 + i] != template or (overflow and i == 2 * n)]
-    k = len(picked)
-    picked += range(first, m)
-    block = _parse_block([lines[1 + i] for i in picked], [2 + i for i in picked], n)
+    block = _parse_block(kept, kept_nos, n)
+    k = len(kept) - d
     rows = [None] * first
-    for i, row in zip(picked[:k], block[:k]):
-        rows[i] = Inequality(row[:n], row[n])
-    c = np.array(_floats(lines[1 + m], m + 2, n))
+    for no, row in zip(kept_nos[:k], block[:k]):
+        rows[no - 2] = Inequality(row[:n], row[n])
+    c = np.array(_floats(objective, expected, n))
 
     params = GeneratorParams(n=n, d=d, seed=seed, alpha=alpha, theta=float(c[-1]))
     return LPInstance(

@@ -1,6 +1,11 @@
 import io
 import math
+import os
+import random
+import threading
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +29,7 @@ from randlp import (
     write_stats,
 )
 from randlp import io as rio
-from randlp.model import BoundingBlock
+from randlp.model import BoundingBlock, diagonal_rhs
 
 from conftest import instance_from_rows
 
@@ -473,3 +478,315 @@ def _random_line_read(replace_line):
 ])
 def test_lines_the_block_parse_refuses_read_as_before(line, want):
     assert _random_line_read(line) == want
+
+
+# --- the line-by-line reader against the former whole-text one ---------------
+
+
+def former_templates(n, alpha):
+    """The text of each canonical bounding row under alpha, in order, as the
+    whole-text reader built it."""
+    zeros = "0 " * n
+    block = BoundingBlock.canonical(n, alpha)
+    for j, coef, rhs in map(block.spec, range(2 * n + 1)):
+        tok = rio._fmt(coef) + " "
+        if j is None:
+            yield tok * n + rio._fmt(rhs)
+        else:
+            yield zeros[: 2 * j] + tok + zeros[: 2 * (n - 1 - j)] + rio._fmt(rhs)
+
+
+def former_read_instance(source):
+    """``read_instance`` as it was when it held the whole text and all its
+    lines at once."""
+    try:
+        text = source.read() if hasattr(source, "read") else Path(source).read_text()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"byte {err.start}: not {err.encoding} text") from None
+    lines = text.splitlines()
+    del text
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise ParseError("empty input")
+
+    head = lines[0].split()
+    if len(head) != 4:
+        raise ParseError(f"line 1: expected 'n m d seed', found {len(head)} fields")
+    try:
+        n, m, d, seed = (int(t) for t in head)
+    except ValueError:
+        raise ParseError("line 1: header fields must be integers") from None
+    if n < 1:
+        raise ParseError(f"line 1: n must be >= 1, got {n}")
+    if d < 0:
+        raise ParseError(f"line 1: d must be >= 0, got {d}")
+    if m != 2 * n + 1 + d:
+        raise ParseError(f"line 1: m = {m} inconsistent with 2n+1+d = {2 * n + 1 + d}")
+    if not 0 <= seed < 2**64:
+        raise ParseError("line 1: seed must be a 64-bit unsigned integer")
+
+    expected_lines = 1 + m + 1
+    if len(lines) != expected_lines:
+        raise ParseError(
+            f"expected {expected_lines} lines (header, {m} constraint rows, "
+            f"objective), found {len(lines)}"
+        )
+
+    alpha = rio._floats(lines[1], 2, n + 1)[n]
+    first = 2 * n + 1
+    overflow = not math.isfinite(diagonal_rhs(n, alpha))
+    picked = [i for i, template in enumerate(former_templates(n, alpha))
+              if lines[1 + i] != template or (overflow and i == 2 * n)]
+    k = len(picked)
+    picked += range(first, m)
+    block = rio._parse_block([lines[1 + i] for i in picked], [2 + i for i in picked], n)
+    rows = [None] * first
+    for i, row in zip(picked[:k], block[:k]):
+        rows[i] = Inequality(row[:n], row[n])
+    c = np.array(rio._floats(lines[1 + m], m + 2, n))
+
+    params = GeneratorParams(n=n, d=d, seed=seed, alpha=alpha, theta=float(c[-1]))
+    return LPInstance(
+        n, BoundingBlock.from_rows(n, alpha, rows), block[k:, :n], block[k:, n], c, params
+    )
+
+
+# every character at which str.splitlines breaks a line
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+OVERFLOWING_DIAGONAL = ["3 7 0 0", "1 0 0 1e+308", "0 1 0 1e+308", "0 0 1 1e+308",
+                        "-1 0 0 0", "0 -1 0 0", "0 0 -1 0", "1 1 1 1e+308", "1.5 1 0.5"]
+
+
+def parity_texts():
+    """Generated texts and texts made from them: lines deleted, duplicated,
+    swapped or blank, every line break of ``str.splitlines``, bad tokens,
+    numbers spelled another way; each a (name, text) pair."""
+    gen = random.Random(25)
+    texts = [("overflowing diagonal", "\n".join(OVERFLOWING_DIAGONAL) + "\n"),
+             ("empty", ""), ("only blank lines", " \n\t\n\n"),
+             ("a header alone", "1 3 0 7\n"), ("a header claiming n = 10^9",
+                                               "1000000000 2000000001 0 0\n1 200\n-1 0\n")]
+    # at the defaults n = 1 takes no random row; the synthetic ones take
+    # awkward floats
+    bases = [generate_sequential(GeneratorParams(n=n, d=d, seed=seed))[0]
+             for n, d, seed in [(1, 0, 7), (1, 0, 11), (2, 5, 42), (2, 3, 0), (3, 4, 5),
+                                (4, 6, 1), (8, 6, 3)]]
+    bases += [_synthetic_instance(n, d, seed) for n, d, seed in [(1, 3, 1), (2, 2, 0), (5, 2, 9)]]
+    for inst in bases:
+        n, d, seed = inst.n, inst.d, inst.params.seed
+        base = instance_to_text(inst)
+        lines = base.splitlines()
+        first, count = 2 * n + 2, len(lines)  # the first random line is lines[first]
+        case = lambda name, ls, end="\n": texts.append(  # noqa: E731
+            (f"n={n} d={d} seed={seed}: {name}", end.join(ls) + end))
+        case("as written", lines)
+        texts.append((f"n={n} d={d} seed={seed}: no newline at the end", base[:-1]))
+        k = gen.randrange(1, count)
+        case(f"line {k + 1} deleted", lines[:k] + lines[k + 1:])
+        case(f"line {k + 1} duplicated", lines[:k + 1] + lines[k:])
+        i, j = sorted(gen.sample(range(1, count), 2))
+        case(f"lines {i + 1} and {j + 1} swapped",
+             lines[:i] + [lines[j]] + lines[i + 1:j] + [lines[i]] + lines[j + 1:])
+        for blank in ("", "   ", "\t \x1f"):
+            k = gen.randrange(1, count)
+            case(f"{blank!r} before line {k + 1}", lines[:k] + [blank] + lines[k:])
+            case(f"{blank!r} at the end", lines + [blank, blank])
+        for brk in LINE_BREAKS:
+            case(f"{brk!r} ends every line", lines, end=brk)
+            k = gen.randrange(count)
+            inner = lines[k].replace(" ", brk, 1) if " " in lines[k] else lines[k] + brk
+            case(f"{brk!r} inside line {k + 1}", lines[:k] + [inner] + lines[k + 1:])
+        bad = {"line 2": 1, "a bounding line": gen.randrange(2, first - 1),
+               "the objective": count - 1}
+        if d:
+            bad["a random line"] = gen.randrange(first, count - 1)
+        for where, k in bad.items():
+            toks = lines[k].split()
+            toks[gen.randrange(len(toks))] = gen.choice(["x", "nan", "1e999", "--1", ""])
+            tampered = lines[:k] + [" ".join(toks)] + lines[k + 1:]
+            case(f"a bad token in {where}", tampered)
+            case(f"a bad token in {where} and a line short", tampered[:-1])
+            case(f"a bad token in {where} and a line more", tampered + ["1"])
+        respelled = [" ".join(t + ".0" if t == "200" else t for t in line.split())
+                     for line in lines[1:first - 1]]
+        case("200 spelled 200.0", lines[:1] + respelled + lines[first - 1:])
+        k = gen.randrange(1, first - 1)
+        case(f"-0 in line {k + 1}", lines[:k] + [lines[k].replace("0", "-0", 1)] + lines[k + 1:])
+    return texts
+
+
+def outcome(reader, make_source):
+    """What reader makes of a new source from make_source: the instance's
+    text, params, edited bounding rows and the instance, or the type and
+    message of the error."""
+    source = make_source()
+    try:
+        inst = reader(source)
+    except ValueError as e:
+        return type(e).__name__, str(e)
+    finally:
+        if hasattr(source, "close"):
+            source.close()
+    return instance_to_text(inst), inst.params, sorted(inst.bounding.edits), inst
+
+
+class ReadOnly:
+    """A text source with a ``read`` method and nothing else."""
+
+    def __init__(self, text):
+        self._text = io.StringIO(text)
+
+    def read(self, size=-1):
+        return self._text.read(size)
+
+
+def parity_sources(path, text):
+    return {
+        "StringIO": lambda: io.StringIO(text),
+        "read() alone": lambda: ReadOnly(text),
+        "path": lambda: path,
+        "open(path)": lambda: open(path, encoding="utf-8"),
+        # a file object that cuts a "\r\n" in two
+        "open(path, newline='\\r')": lambda: open(path, encoding="utf-8", newline="\r"),
+    }
+
+
+def test_the_line_by_line_reader_reads_as_the_whole_text_reader(tmp_path):
+    path = tmp_path / "case.txt"
+    cases = parity_texts()
+    errors = set()
+    for name, text in cases:
+        path.write_bytes(text.encode("utf-8"))
+        for how, make in parity_sources(path, text).items():
+            got = outcome(read_instance, make)
+            assert got == outcome(former_read_instance, make), (name, how)
+            if got[0] == "ParseError":
+                errors.add("count" if got[1].startswith("expected") else got[1].split(":")[0])
+    assert len(cases) > 400
+    # the sweep reaches each header error, the line count and bad lines
+    assert {"empty input", "line 1", "count", "line 2", "line 3"} <= errors, errors
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7])
+def test_pieces_of_any_size_read_as_the_whole_text(tmp_path, monkeypatch, size):
+    # pieces this small end between a "\r" and its "\n", inside a line break
+    # of several bytes and inside a trailing blank line
+    monkeypatch.setattr(rio, "_BATCH", size)
+    path = tmp_path / "case.txt"
+    for name, text in parity_texts()[::3]:
+        path.write_bytes(text.encode("utf-8"))
+        for how, make in parity_sources(path, text).items():
+            assert outcome(read_instance, make) == outcome(former_read_instance, make), (name, how)
+
+
+def test_a_byte_that_does_not_decode_is_named_by_its_offset_in_the_file(tmp_path):
+    # 500 bytes before the end of a 684.8 kB text, far past the first chunk
+    # a text file object decodes
+    inst, _ = generate_sequential(GeneratorParams(n=400, d=5, seed=1))
+    data = instance_to_text(inst).encode()
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data[:-500] + b"\xff" + data[-499:])
+    assert len(data) - 500 == 684305
+    want = "byte 684305: not utf-8 text"
+    with pytest.raises(ParseError, match=f"^{want}$"):
+        read_instance(path)
+    with open(path, encoding="utf-8") as fh, pytest.raises(ParseError, match=f"^{want}$"):
+        read_instance(fh)
+    # a pipe, whose place cannot be told, through a file object as stdin
+    # reads one and, where there is /dev/fd, through a path as
+    # ``randlp validate --in /dev/stdin`` reads one
+    pipe_sources = [lambda r: open(r, encoding="utf-8", closefd=False)]
+    if Path("/dev/fd").is_dir():
+        pipe_sources.append(lambda r: f"/dev/fd/{r}")
+    for make in pipe_sources:
+        r, w = os.pipe()
+        writer = threading.Thread(target=lambda: (os.write(w, path.read_bytes()), os.close(w)))
+        writer.start()
+        source = make(r)
+        try:
+            with pytest.raises(ParseError, match=f"^{want}$"):
+                read_instance(source)
+        finally:
+            if hasattr(source, "close"):
+                source.close()
+            writer.join(timeout=30)
+            os.close(r)
+        assert not writer.is_alive()
+    # a file object that has decoded text ahead of its caller, here past the
+    # first line, names the byte as the whole-text reader did: from where
+    # that reader's read began
+    path.write_bytes(b"a first line the caller reads\n" + data[:-500] + b"\xff" + data[-499:])
+
+    def read_ahead():
+        fh = open(path, encoding="utf-8")
+        fh.readline()
+        return fh
+
+    got = outcome(read_instance, read_ahead)
+    assert got[1].startswith("byte ")
+    assert got == outcome(former_read_instance, read_ahead)
+    path.write_bytes(b"a first line the caller reads\n" + data)
+    assert outcome(read_instance, read_ahead)[-1] == inst
+    # the byte is reported before a bad header, line count or line 2, and
+    # so is a character cut off by the end of the input
+    lines = data.splitlines(keepends=True)
+    for bad in (b"1 2 3\n" + b"".join(lines[1:]), b"".join(lines[:-2] + lines[-1:]),
+                lines[0] + b"x\n" + b"".join(lines[2:])):
+        for tail in (b"\xff\n", "\u2028".encode()[:2]):
+            path.write_bytes(bad + tail)
+            for make in (lambda: path, lambda: open(path, encoding="utf-8")):
+                got = outcome(read_instance, make)
+                assert got[1].startswith("byte ")
+                assert got == outcome(former_read_instance, make)
+
+
+def test_lines_across_batches_read_as_the_whole_text_reader(tmp_path):
+    # a text of several of the reader's batches, its lines ended by "\r\n",
+    # which a file object opened with newline="\r" cuts in two, by "\r" or by
+    # "\x85"
+    inst, _ = generate_sequential(GeneratorParams(n=200, d=20, seed=3))
+    lines = instance_to_text(inst).splitlines()
+    assert len("\n".join(lines)) > 3 * rio._BATCH
+    path = tmp_path / "batches.txt"
+    for end in ("\r\n", "\r", "\x85"):
+        text = end.join(lines) + end
+        path.write_bytes(text.encode("utf-8"))
+        for make in (lambda: io.StringIO(text), lambda: path,
+                     lambda: open(path, encoding="utf-8", newline="\r")):
+            got = outcome(read_instance, make)
+            assert got[-1] == inst
+            assert got == outcome(former_read_instance, make)
+
+
+def test_a_header_claiming_a_huge_n_allocates_nothing():
+    text = "1000000000 2000000001 0 0\n1 200\n-1 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"^expected 2000000003 lines .* found 3$"):
+            read_instance(io.StringIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_reading_a_path_holds_only_the_lines_it_parses(tmp_path):
+    # a 15.5 MB text, nearly all of it bounding lines equal to their template
+    inst, _ = generate_sequential(GeneratorParams(n=2000, d=5, seed=0))
+    path = tmp_path / "big.txt"
+    write_instance(inst, path)
+    for make in (lambda: path, lambda: open(path, encoding="utf-8")):
+        source = make()
+        tracemalloc.start()
+        try:
+            back = read_instance(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            if hasattr(source, "close"):
+                source.close()
+        assert back == inst
+        assert peak < 2 << 20
