@@ -14,13 +14,27 @@ Bounding rows are mostly zeros, so both directions use a template: the text
 of each canonical row, built one row at a time by ``_template`` from
 ``BoundingBlock.spec`` of the canonical block.  The writer emits the template
 for each row the instance's ``BoundingBlock`` holds in closed form.  Every
-other constraint row, an edited bounding row (say one holding -0.0 or nan)
-or a random row, is formatted with one row format, one ``%`` over its n+1
-numbers.  Either way the bytes are exactly those of formatting every token on
-its own.  The writer hands the text out line by line, so a file is written
-without the whole text in memory; the file object buffers it.  An instance
-holds exactly its 2n+1 bounding rows under its own alpha (its constructors
-refuse any other), so every instance has a text.
+other row, an edited bounding row (say one holding -0.0 or nan), a random
+row or the objective, goes through one formatter, ``_row_pieces``, which
+turns a stack of rows into their ``%.17g`` text in numpy, at most
+``_CHUNK`` = 4096 numbers per call, so that its temporaries stay near
+1 MB.  It computes the 17 correctly rounded digits of each number exactly.
+With D the decimal exponent, taken from log10 and corrected once from the
+product, and k = 16 - D, Dekker's TwoProduct (Veltkamp's split by
+2**27 + 1, no fused multiply-add) gives |x| * 10**k = p + e exactly; 10**k
+is exact in binary64 for k <= 22.  Where 1e16 < p < 1e17, p is an even
+integer and |e| at most half its spacing, so R = p + rint(e) is rounded
+half to even as ``format`` rounds, exact ties included.  That is the
+certified range: zeros, and the x with 1e-4 <= |x| < 1e16 (where ``%g``
+writes positional notation) whose p lies strictly between 1e16 and 1e17.
+Any other number, nan, inf, a subnormal, one outside the range or a power
+of ten whose p lands on 1e16, is formatted by ``format(v, ".17g")`` on its
+own.  Either way the bytes are exactly those of formatting every token on
+its own.  The writer hands the text to a file object, or to the file it
+opens for a path, 64 KiB or more per ``write``, so a file is written
+without the whole text in memory and a long line is no system call of its
+own.  An instance holds exactly its 2n+1 bounding rows under its own alpha
+(its constructors refuse any other), so every instance has a text.
 
 The reader, too, goes through the text line by line, as ``str.splitlines``
 splits the whole text, and keeps only the lines it will parse.  It takes the
@@ -72,10 +86,134 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+# numbers formatted per call, so that the temporaries stay near 1 MB
+_CHUNK = 1 << 12
+# the longest %.17g token, "-2.2250738585072014e-308", and a separator
+_WIDTH = 25
+_COLS = np.arange(_WIDTH, dtype=np.uint8)
+
+
+def _halves(a):
+    """Veltkamp's split: a = hi + lo exactly, each half of 26 bits or fewer."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10**k, exact in binary64 for k <= 22, and its halves
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI, _POW10_LO = _halves(_POW10)
+_k = np.arange(10_000, dtype=np.uint16)
+# the four ASCII digits of each k as one uint32, in memory order
+_DIGITS = np.stack([_k // 10**j % 10 + 48 for j in (3, 2, 1, 0)], axis=1).astype(np.uint8)
+_DIGITS = _DIGITS.view(np.uint32).ravel()
+# the trailing zero digits of each k written with four digits
+_ZEROS = sum(_k % 10**j == 0 for j in range(1, 5)).astype(np.int8)
+del _k
+
+
+def _tokens(x: np.ndarray, first: int, cols: int) -> str:
+    """The ``%.17g`` tokens of the numbers x, which stand at positions
+    first, first+1, ... of a stack of rows of cols numbers: each followed by
+    a space, or by a newline where it ends its row.  A number in the
+    certified range (module docstring) is written from its 17 digits R,
+    computed exactly, in positional notation; R < 10**17 there, since
+    p <= 10**17 - 16 and |e| <= 8.  Any other number goes to ``format``.
+    """
+    n = x.size
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    # D from log10, corrected once from the product; were it still off, p
+    # would fall outside (1e16, 1e17) and x would go to ``format``
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    p = a * _POW10[k]
+    k += p <= 1e16
+    k -= p >= 1e17
+    p = a * _POW10[k]
+    ah, al = _halves(a)
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    fast &= (p > 1e16) & (p < 1e17)
+    r = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    r[zero] = 0
+    # D + 4 sorts the numbers into groups of one layout: zeros go with
+    # D = 0, the numbers left to ``format`` last
+    key = np.where(fast, 20 - k, 20).astype(np.int8)
+    key[zero] = 4
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[order], np.arange(22))
+
+    # R's 17 digits in groups of 1, 4, 4, 4 and 4
+    groups = np.empty((n, 5), np.intp)
+    rest = r[order]
+    for j, unit in enumerate((10**16, 10**12, 10**8, 10**4)):
+        groups[:, j] = rest // unit
+        rest -= groups[:, j] * unit
+    groups[:, 4] = rest
+    digits = _DIGITS[groups].view(np.uint8)[:, 3:]
+    zeros = _ZEROS[groups]
+    trailing = zeros[:, 0]
+    for j in range(1, 5):
+        trailing = np.where(groups[:, j] == 0, trailing + 4, zeros[:, j])
+    last = 16 - trailing  # the index of R's last nonzero digit, < 0 for 0
+
+    buf = np.empty((n, _WIDTH), np.uint8)
+    buf[:, 0] = ord("-")
+    end = np.empty(n, np.intp)  # one past each token's last column
+    for d, (s, t) in enumerate(zip(bounds[:20], bounds[1:21]), -4):
+        if s == t:
+            continue
+        row, dig, lst = buf[s:t], digits[s:t], last[s:t]
+        if d >= 0:
+            # digits 0..D, the point, the rest; no point without a fraction
+            row[:, 1:d + 2] = dig[:, :d + 1]
+            row[:, d + 2] = ord(".")
+            row[:, d + 3:19] = dig[:, d + 1:]
+            end[s:t] = np.where(lst > d, lst + 3, d + 2)
+        else:
+            # "0.", -D-1 zeros, the digits
+            row[:, 1:2 - d] = np.frombuffer(b"0." + b"0" * (-d - 1), np.uint8)
+            row[:, 2 - d:19 - d] = dig
+            end[s:t] = lst + 3 - d
+    for i in range(bounds[20], n):
+        tok = _fmt(x[order[i]]).encode()
+        buf[i, :len(tok)] = np.frombuffer(tok, np.uint8)
+        end[i] = len(tok)
+
+    # back to the order of x, a row of buf at a time
+    cell = np.dtype((np.void, _WIDTH))
+    out = np.empty_like(buf)
+    out.view(cell)[order] = buf.view(cell)
+    stop = np.empty_like(end)
+    stop[order] = end
+    keep = _COLS < stop[:, None].astype(np.uint8)
+    # the sign column of a positional token; a token of ``format`` starts there
+    keep[:, 0] = np.signbit(x) | (key == 20)
+    keep[:, -1] = True
+    out[:, -1] = ord(" ")
+    out[(cols - 1 - first) % cols::cols, -1] = ord("\n")
+    return out[keep].tobytes().decode("ascii")
+
+
+def _row_pieces(a: np.ndarray, b: np.ndarray | None = None):
+    """The text of the rows of a, each followed by its entry of b when b is
+    given: one line of ``%.17g`` tokens per row, in pieces of at most
+    ``_CHUNK`` numbers."""
+    cols = a.shape[1] + (b is not None)
+    step = max(1, _CHUNK // cols)
+    for i in range(0, len(a), step):
+        rows = a[i:i + step] if b is None else np.column_stack((a[i:i + step], b[i:i + step]))
+        flat = rows.ravel()
+        for s in range(0, flat.size, _CHUNK):
+            yield _tokens(flat[s:s + _CHUNK], s, cols)
+
+
 def _text(values: list[float]) -> str:
     """The values as space separated ``%.17g`` tokens: the conversion
-    ``format(v, ".17g")`` makes, applied by one ``%`` over the row."""
-    return " ".join(["%.17g"] * len(values)) % tuple(values)
+    ``format(v, ".17g")`` makes, one row of ``_row_pieces``."""
+    return "".join(_row_pieces(np.array([values], dtype=np.float64)))[:-1]
 
 
 def _template(n: int, j, coef: float, rhs: float, size: int | None = None):
@@ -94,41 +232,50 @@ def _template(n: int, j, coef: float, rhs: float, size: int | None = None):
 
 
 def _lines(inst: LPInstance):
-    """The lines of the text of inst, each with its newline."""
+    """The text of inst in pieces: a line, or the lines of up to
+    ``_CHUNK`` numbers."""
     n = inst.n
     block = inst.bounding
-    row_format = " ".join(["%.17g"] * (n + 1)) + "\n"
     yield f"{n} {inst.m} {inst.d} {inst.params.seed}\n"
-    # tolist() gives the same binary64 values as Python floats, without a
-    # float() call per number
     for i in range(2 * n + 1):
         q = block.edits.get(i)
-        yield (_template(n, *block.spec(i)) + "\n" if q is None
-               else row_format % (*q.a.tolist(), q.b))
-    for a, b in zip(inst.random_a, inst.random_b.tolist()):
-        yield row_format % (*a.tolist(), b)
-    yield _text(inst.c.tolist()) + "\n"
+        if q is None:
+            yield _template(n, *block.spec(i)) + "\n"
+        else:
+            yield from _row_pieces(q.a[None], np.array([q.b]))
+    yield from _row_pieces(inst.random_a, inst.random_b)
+    yield from _row_pieces(inst.c[None])
 
 
 def instance_to_text(inst: LPInstance) -> str:
     return "".join(_lines(inst))
 
 
-def _write_text(lines, dest) -> None:
-    if hasattr(dest, "write"):
-        for line in lines:
-            dest.write(line)
-    else:
-        # a buffer larger than a line of thousands of numbers, which the
-        # default 8 KiB one would pass to the system one write per line
-        with open(dest, "w", buffering=1 << 16) as f:
-            for line in lines:
-                f.write(line)
+# the writer hands the text to its destination this many characters or more
+# at a time: a line of thousands of numbers passes an 8 KiB buffer, stdout's
+# say, as a system call of its own
+_PIECE = 1 << 16
+
+
+def _write_text(pieces, dest) -> None:
+    if not hasattr(dest, "write"):
+        with open(dest, "w") as f:
+            _write_text(pieces, f)
+        return
+    held, size = [], 0
+    for piece in pieces:
+        held.append(piece)
+        size += len(piece)
+        if size >= _PIECE:
+            dest.write("".join(held))
+            held, size = [], 0
+    if held:
+        dest.write("".join(held))
 
 
 def write_instance(inst: LPInstance, dest) -> None:
-    """Serialize to a path or a writable text file object, line by line;
-    the file object buffers the text."""
+    """Serialize to a path or a writable text file object, 64 KiB of text
+    or more per ``write``."""
     _write_text(_lines(inst), dest)
 
 

@@ -46,11 +46,14 @@ class RngStream:
         self.seed = seed
         self.stream_id = stream_id
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        self._bits = np.random.PCG64(ss)
 
     def raw_words(self, count: int) -> np.ndarray:
-        """The next count raw 64-bit words. Primitive every draw builds on."""
-        return self._gen.integers(0, _FULL, size=count, dtype=np.uint64)
+        """The next count raw 64-bit words. Primitive every draw builds on.
+
+        The BitGenerator's raw stream, which NEP 19 keeps stable across
+        numpy versions, unlike the streams of ``Generator`` methods."""
+        return self._bits.random_raw(count)
 
 
 def derive_stream(seed: int, stream_id: int) -> RngStream:

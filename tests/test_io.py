@@ -5,6 +5,7 @@ import random
 import threading
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,13 @@ def test_write_instance_streams_chunks_equal_to_the_text():
     assert "".join(dest.writes) == text
 
 
+def test_write_instance_hands_the_file_64_kib_or_more_per_write():
+    inst, _ = generate_sequential(GeneratorParams(n=300, d=5, seed=0))
+    dest = RecordingFile()
+    write_instance(inst, dest)
+    assert min(map(len, dest.writes[:-1])) >= 1 << 16
+
+
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_writer_refuses_a_block_of_other_than_2n_plus_1_rows(extra):
     # the text holds 2n+1 bounding rows; an instance of fewer or more is
@@ -790,3 +798,127 @@ def test_reading_a_path_holds_only_the_lines_it_parses(tmp_path):
                 source.close()
         assert back == inst
         assert peak < 2 << 20
+
+
+# --- the %.17g formatter ----------------------------------------------------
+
+
+def formatted(rows):
+    """The formatter's text of a stack of rows, and the reference: every
+    number formatted on its own; split at spaces, so that a failure names
+    the first token that differs without a diff of the whole text."""
+    rows = np.asarray(rows, dtype=np.float64)
+    want = "".join(" ".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
+    return "".join(rio._row_pieces(rows)).split(" "), want.split(" ")
+
+
+def stack(values, cols=4):
+    """values, padded with 1.5 to whole rows of cols numbers."""
+    values = np.asarray(values, dtype=np.float64)
+    pad = -values.size % cols
+    return np.concatenate([values, np.full(pad, 1.5)]).reshape(-1, cols)
+
+
+def powers_of_ten_and_neighbours(exponents):
+    out = []
+    for k in exponents:
+        p = float(f"1e{k}")
+        out += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    return np.array(out)
+
+
+def test_powers_of_ten_and_their_neighbours_format_like_every_token():
+    values = powers_of_ten_and_neighbours(range(-5, 18))
+    got, want = formatted(stack(np.concatenate([values, -values])))
+    assert got == want
+
+
+def test_the_ends_of_the_positional_range_format_like_every_token():
+    ends = [1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+            1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf),
+            9.9999999999999995e-5, 9999999999999998.0]
+    got, want = formatted(stack(ends + [-v for v in ends], cols=3))
+    assert got == want
+
+
+def test_values_next_to_a_power_of_ten_round_within_their_exponent():
+    # 999.99999999999999 reads as 1000.0; no binary64 value rounds up to a
+    # new power of ten at 17 digits, so the largest values below each power
+    # must keep all their nines
+    values = [999.99999999999999, 99.999999999999986, 0.00099999999999999980]
+    values += [float(np.nextafter(v, 0.0)) for v in (1e3, 1e9, 1e15, 1e-2)]
+    got, want = formatted(stack(values, cols=2))
+    assert got == want
+    assert "999.99999999999989" in " ".join(got)
+
+
+def exact_ties():
+    """Numbers whose exact decimal expansion has 18 significant digits, the
+    last a 5, for each exponent of the positional range: x = v * 2**(D-17)
+    with v * 5**(17-D) an 18-digit integer."""
+    gen = np.random.default_rng(3)
+    out = []
+    for exp in range(-4, 16):
+        five = 5 ** (17 - exp)
+        lo, hi = -(-10**17 // five), min(10**18 // five, 2**53)
+        for v in gen.integers(lo, hi, 40).tolist():
+            v |= 1
+            if 10**17 <= v * five < 10**18:
+                out.append(math.ldexp(v, exp - 17))
+    return np.array(out)
+
+
+def test_exact_ties_at_the_18th_digit_round_half_even():
+    ties = exact_ties()
+    assert len(ties) > 400
+    assert all(len(Decimal(v).normalize().as_tuple().digits) == 18 for v in ties)
+    got, want = formatted(stack(np.concatenate([ties, -ties]), cols=9))
+    assert got == want
+    # 1.00000762939453125 to 1.0000076293945312, 1.00002288818359375 up
+    got, want = formatted([[1 + 2**-17, 1 + 3 * 2**-17, -(1 + 5 * 2**-17)]])
+    assert got == want == ["1.0000076293945312", "1.0000228881835938", "-1.0000381469726562\n"]
+
+
+@pytest.mark.parametrize("special", [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                     math.nan, -math.nan, math.inf, -math.inf, 1e300, -1e-300])
+def test_special_values_among_fast_ones_format_like_every_token(special):
+    gen = np.random.default_rng(0)
+    rows = gen.uniform(-1000.0, 1000.0, (5, 7))
+    rows[0, 0] = rows[2, 3] = rows[4, 6] = special
+    got, want = formatted(rows)
+    assert got == want
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (0, 5), (1, rio._CHUNK + 3), (3, rio._CHUNK - 1),
+                                   (2 * (rio._CHUNK // 401) + 5, 401)])
+def test_any_stack_shape_formats_like_every_token(shape):
+    gen = np.random.default_rng(1)
+    rows = gen.uniform(-1.0, 1.0, shape) * 10.0 ** gen.integers(-6, 18, shape)
+    got, want = formatted(rows)
+    assert got == want
+
+
+def test_an_instance_of_one_variable_and_no_random_rows_writes_like_every_token():
+    inst, _ = generate_sequential(GeneratorParams(n=1, d=0, seed=3))
+    assert instance_to_text(inst) == token_text(inst)
+
+
+@given(st.lists(st.tuples(st.floats(1e-4, 1e16, exclude_max=True), st.booleans()),
+                min_size=1, max_size=60),
+       st.integers(1, 7))
+@settings(max_examples=300, deadline=None)
+def test_positional_range_formats_like_every_token(pairs, cols):
+    got, want = formatted(stack([-v if neg else v for v, neg in pairs], cols))
+    assert got == want
+
+
+def test_only_a_product_on_a_power_of_ten_leaves_the_positional_range(monkeypatch):
+    # the exponent from log10 is corrected from the product, so a value
+    # next to a power of ten is written in numpy, not left to format
+    left = []
+    monkeypatch.setattr(rio, "_fmt", lambda v: left.append(float(v)) or format(float(v), ".17g"))
+    values = powers_of_ten_and_neighbours(range(-4, 16))
+    got, want = formatted(stack(values, cols=5))
+    assert got == want
+    below_range = float(np.nextafter(1e-4, 0.0))
+    assert sorted(left) == [below_range] + [float(f"1e{k}") for k in range(-4, 16)]
