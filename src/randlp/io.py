@@ -210,12 +210,6 @@ def _row_pieces(a: np.ndarray, b: np.ndarray | None = None):
             yield _tokens(flat[s:s + _CHUNK], s, cols)
 
 
-def _text(values: list[float]) -> str:
-    """The values as space separated ``%.17g`` tokens: the conversion
-    ``format(v, ".17g")`` makes, one row of ``_row_pieces``."""
-    return "".join(_row_pieces(np.array([values], dtype=np.float64)))[:-1]
-
-
 def _template(n: int, j, coef: float, rhs: float, size: int | None = None):
     """The text of the canonical bounding row ``(j, coef, rhs)`` of
     ``BoundingBlock.spec``, built without formatting every zero; None when
