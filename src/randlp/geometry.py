@@ -13,7 +13,9 @@ Likeness is shortlisted by where the rows come from: ``near_pairs`` for two
 stacks, ``stack_pairs`` for the pairs within one stack, walked in slabs, and
 ``bounding_pairs`` for a stack against the rows a ``BoundingBlock`` holds in
 closed form, whose layout it reads from ``BoundingBlock.spec``.  Each pair a
-shortlist keeps is rechecked exactly.
+shortlist keeps is rechecked exactly.  The dot products of the first two
+are taken a chunk of queries at a time, within one budget of 2^17 products
+(1 MB) per chunk, or 32 or n queries' worth when that is more.
 """
 from __future__ import annotations
 
@@ -125,17 +127,53 @@ def unit_rows(a: np.ndarray, b: np.ndarray, verb: str):
     return units, row_sumsq(units) / 2.0, b / nrm
 
 
+# The likeness products' budget: a chunk of queries against m rows of n
+# coefficients holds at most max(_PAIR_BUDGET, _PAIR_BLOCK * m, n * m)
+# float64 dot products, 1 MB up to m = 4096 rows, so memory grows with m,
+# never with m^2.
+_PAIR_BUDGET = 1 << 17
+# The fewest queries per chunk, so that a tall stack pays one call per 32
+# queries, not one per query or two.  A chunk also takes at least n queries:
+# each call reads all n x m numbers of the rows (BLAS packs them), and a
+# smaller product would not repay that; at n = 100, m = 10,000 on a 2-vCPU
+# VM, 32-query chunks walked the pairs 17-40% slower than 256-query slabs,
+# n-query ones as fast.
+_PAIR_BLOCK = 32
+
+
+def _chunk(units: np.ndarray) -> int:
+    """The queries per chunk of a product against the unit rows ``units``."""
+    m, n = units.shape
+    return max(_PAIR_BUDGET // max(m, 1), _PAIR_BLOCK, n)
+
+
 def near_pairs(rows, queries, l_max: float, s_min: float) -> tuple[np.ndarray, np.ndarray]:
     """The shortlist of likely-alike (query, row) pairs, in order of query
     then row.
 
     ``rows`` and ``queries`` are (unit rows, halves, offsets), as
-    ``unit_rows`` returns them.  One product ``queries @ rows.T - halves``
+    ``unit_rows`` returns them.  A product ``queries @ rows.T - halves``
     keeps the pairs above the query's ``direction_cut``, and the offset
     test ``|offset - q_offset| < s_min`` runs on those only.  Every pair
     with a direction gap below ``l_max`` and an offset gap below ``s_min``
-    is kept; callers recheck the gap of each pair exactly.
+    is kept; callers recheck the gap of each pair exactly.  The queries go
+    in chunks of ``_chunk(rows[0])``, so that one product holds at most
+    max(_PAIR_BUDGET, _PAIR_BLOCK x m, n x m) dot products for m rows of n
+    coefficients; most calls are one chunk.
     """
+    step = _chunk(rows[0])
+    if len(queries[0]) <= step:
+        return _near_chunk(rows, queries, l_max, s_min)
+    qs, rs = [], []
+    for lo in range(0, len(queries[0]), step):
+        qi, ri = _near_chunk(rows, [x[lo:lo + step] for x in queries], l_max, s_min)
+        qs.append(qi + lo)
+        rs.append(ri)
+    return np.concatenate(qs), np.concatenate(rs)
+
+
+def _near_chunk(rows, queries, l_max: float, s_min: float):
+    """``near_pairs`` of the queries in one product."""
     units, halves, offsets = rows
     q_units, q_halves, q_offsets = queries
     dots = q_units @ units.T
@@ -147,24 +185,21 @@ def near_pairs(rows, queries, l_max: float, s_min: float) -> tuple[np.ndarray, n
     return qi[keep], ri[keep]
 
 
-# Later rows per slab of ``stack_pairs``: a slab's product holds at most
-# _PAIR_BLOCK x m dot products, so memory grows with m, not m^2.
-_PAIR_BLOCK = 256
-
-
 def stack_pairs(stack, l_max: float, s_min: float):
     """The shortlist of likely-alike (later, earlier) pairs of rows of
     ``stack``, a (unit rows, halves, offsets) triple as ``unit_rows``
     returns it: one (later, earlier) pair of arrays per slab of at most
-    ``_PAIR_BLOCK`` later rows, in order of later row then earlier row.
+    ``_chunk(stack[0])`` later rows, in order of later row then earlier row.
 
     A slab's rows are the queries of one ``near_pairs`` call against the
-    rows before its last, so every pair ``near_pairs`` would keep is kept;
-    callers recheck the gap of each pair exactly.
+    rows before its last, so every pair ``near_pairs`` would keep is kept,
+    and its product fits one chunk; callers recheck the gap of each pair
+    exactly.
     """
     m = len(stack[0])
-    for lo in range(1, m, _PAIR_BLOCK):
-        hi = min(lo + _PAIR_BLOCK, m)
+    step = _chunk(stack[0])
+    for lo in range(1, m, step):
+        hi = min(lo + step, m)
         later, earlier = near_pairs([x[: hi - 1] for x in stack], [x[lo:hi] for x in stack],
                                     l_max, s_min)
         later += lo
@@ -182,6 +217,10 @@ class SimilarityIndex:
     kernel and unit rows a dense comparison of every row would use, so its
     verdict is the dense one bit for bit and pairwise ``likeness`` calls
     decide the same way.
+
+    The stored arrays grow by doubling, so they hold at most twice the
+    rows appended; a query holds one product chunk of ``near_pairs`` on
+    top.
 
     ``any_alike`` and ``append`` take one row or a stack of K rows.  A stack
     is judged as if its rows were queried one at a time in order, each

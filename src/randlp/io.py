@@ -39,24 +39,30 @@ own.  An instance holds exactly its 2n+1 bounding rows under its own alpha
 The reader, too, goes through the text line by line, as ``str.splitlines``
 splits the whole text, and keeps only the lines it will parse.  It takes the
 text from its source some at a time, about 64 KiB of it, so it holds one
-such piece and the kept lines, never the whole text.  A path, and a text
-file object that has decoded nothing yet, are read as bytes and decoded as
-the file object decodes them, so a byte that does not decode is named by
-its offset in the input, a pipe's too.  It compares each bounding line
+such piece and the lines it has yet to parse, never the whole text.  A
+path, and a text file object that has decoded nothing yet, are read as
+bytes and decoded as the file object decodes them, so a byte that does not
+decode is named by its offset in the input, a pipe's too.  It compares each bounding line
 with its template as it arrives, and builds that template only when the
 line is as long as the template, so a header claiming a huge n allocates
 nothing until the lines bear it out.  The bounding lines that
 differ from their template (``200.0`` for ``200``, say), the diagonal's line
-when its right-hand side overflows, and the d random lines are parsed after
-the end of input, as one block with ``np.loadtxt``, which converts each
-number as ``float`` does; ``BoundingBlock.from_rows`` then keeps a parsed
-bounding row in closed form too when it is bitwise the canonical one.  When
-the block parse raises, gives another shape or a number that is not finite,
-the lines are parsed token by token instead, which also accepts what only
-``float`` accepts (``1_0``, digits of other scripts) and raises the
-``ParseError`` of the first bad line.  Every number read must be finite.
-Errors are raised only once the input is read, in the order: a byte that
-does not decode, the header, the line count, then the first bad line.
+when its right-hand side overflows, and the d random lines are parsed as
+they arrive, a group of about ``_BATCH`` characters of lines at a time, the
+bounding lines in groups of their own, each with ``np.loadtxt``, which
+converts each number as ``float`` does; ``BoundingBlock.from_rows`` then
+keeps a parsed bounding row in closed form too when it is bitwise the
+canonical one.  A group's random rows go into the (d, n) array of the
+instance and its d right-hand sides, which grow in place as the lines bear
+them out.  When a group's parse raises, gives another shape or a number
+that is not finite, or the group holds a blank line, its lines are parsed
+token by token instead, which also accepts what only ``float`` accepts
+(``1_0``, digits of other scripts) and raises the ``ParseError`` of the
+first bad line; no group after it is parsed.  Every number read must be
+finite.  So the reader holds one piece of text, one group of lines and its
+rows, and the output arrays.  Errors are raised only once the input is
+read, in the order: a byte that does not decode, the header, the line
+count, then the first bad line.
 """
 from __future__ import annotations
 
@@ -294,10 +300,14 @@ def _parse_block(lines: list[str], line_nos: list[int], n: int) -> np.ndarray:
     (len(lines), n+1) array."""
     if not lines:
         return np.empty((0, n + 1))
-    try:
-        block = np.loadtxt(lines, dtype=np.float64, ndmin=2, comments=None)
-    except ValueError:
-        block = None
+    block = None
+    # np.loadtxt skips a blank line, and warns when every line is blank, so
+    # a group with one goes to the token path at once
+    if not any(line.isspace() or not line for line in lines):
+        try:
+            block = np.loadtxt(lines, dtype=np.float64, ndmin=2, comments=None)
+        except ValueError:
+            pass
     if block is None or block.shape != (len(lines), n + 1) or not np.isfinite(block).all():
         block = np.array([_floats(line, no, n + 1) for line, no in zip(lines, line_nos)])
     return block
@@ -433,6 +443,62 @@ def _header(line: str):
     return n, m, d, seed
 
 
+class _Rows:
+    """The rows of the lines ``_read`` keeps, parsed by ``_parse_block`` as
+    they arrive, a group of about ``_BATCH`` characters at a time: a
+    bounding line's row into ``edits``, by its index, and a random line's
+    into the arrays ``a`` and ``b``, which grow to d rows with the lines that
+    bear them out.  ``flush`` ends a group early.  After the first
+    ``ParseError``, kept in ``error``, no line is parsed; the groups come in
+    line order, so it is the error of the first bad line.
+    """
+
+    def __init__(self, n: int, d: int):
+        self.n, self.d = n, d
+        self.edits: dict[int, Inequality] = {}
+        self.a, self.b = np.empty((0, n)), np.empty(0)
+        self.filled = 0  # random rows parsed
+        self.error: ParseError | None = None
+        self._lines: list[str] = []
+        self._nos: list[int] = []
+        self._size = 0
+
+    def add(self, no: int, line: str) -> None:
+        """Keep line ``no`` of the text, a bounding line when no <= 2n+2."""
+        if self.error is None:
+            self._lines.append(line)
+            self._nos.append(no)
+            self._size += len(line)
+            if self._size >= _BATCH:
+                self.flush()
+
+    def flush(self) -> None:
+        """Parse the group of lines kept so far."""
+        lines, nos, n = self._lines, self._nos, self.n
+        self._lines, self._nos, self._size = [], [], 0
+        if not lines:
+            return
+        try:
+            block = _parse_block(lines, nos, n)
+        except ParseError as err:
+            self.error = err
+            return
+        if nos[0] <= 2 * n + 2:
+            for no, row in zip(nos, block):
+                self.edits[no - 2] = Inequality(row[:n], row[n])
+            return
+        lo, hi = self.filled, self.filled + len(block)
+        if hi > len(self.a):
+            # in place, so that a grown array is never held twice; a header
+            # claiming a huge d allocates only what the lines bear out
+            cap = min(self.d, max(hi, 2 * len(self.a)))
+            self.a.resize((cap, n), refcheck=False)
+            self.b.resize(cap, refcheck=False)
+        self.a[lo:hi] = block[:, :n]
+        self.b[lo:hi] = block[:, n]
+        self.filled = hi
+
+
 def _read(pieces) -> LPInstance:
     lines = chain.from_iterable(_without_trailing_blanks(_split(pieces)))
     head = next(lines, None)
@@ -448,53 +514,44 @@ def _read(pieces) -> LPInstance:
     # Line 2, the first bounding row, carries alpha, which sets the text
     # expected of every bounding row.  A bounding line that differs from
     # that text, even by spelling a number another way, and the diagonal's
-    # line when its right-hand side overflows, are kept to be parsed with
-    # the random lines; ``BoundingBlock.from_rows`` keeps such a row in
-    # closed form when it is bitwise the canonical one.  After a bad line 2
-    # the lines are only counted, since the line count is reported first.
+    # line when its right-hand side overflows, are kept to be parsed, in
+    # groups of their own; ``BoundingBlock.from_rows`` keeps such a row in
+    # closed form when it is bitwise the canonical one.  Every random line
+    # is kept.  After a bad line 2 the lines are only counted, since the
+    # line count is reported first.
     first, expected = 2 * n + 1, m + 2
-    kept, kept_nos = [], []
-    error = None
+    kept = _Rows(n, d)
     count = 1  # the last line number read
     for count, line in enumerate(islice(lines, first), 2):
         if count == 2:
             try:
                 alpha = _floats(line, 2, n + 1)[n]
             except ParseError as err:
-                error = err
+                kept.error = err
                 break
             canonical = BoundingBlock.canonical(n, alpha)
         j, coef, rhs = canonical.spec(count - 2)
         if not math.isfinite(rhs) or line != _template(n, j, coef, rhs, len(line)):
-            kept.append(line)
-            kept_nos.append(count)
-    if error is None:
-        random = list(islice(lines, d))
-        kept += random
-        kept_nos += range(count + 1, count + 1 + len(random))
-        count += len(random)
-        objective = next(lines, None)
-        count += objective is not None
+            kept.add(count, line)
+    kept.flush()
+    for count, line in enumerate(islice(lines, d), count + 1):
+        kept.add(count, line)
+    kept.flush()
+    objective = next(lines, None)
+    count += objective is not None
     count += sum(1 for _ in lines)
     if count != expected:
         raise ParseError(
             f"expected {expected} lines (header, {m} constraint rows, "
             f"objective), found {count}"
         )
-    if error is not None:
-        raise error
+    if kept.error is not None:
+        raise kept.error
 
-    block = _parse_block(kept, kept_nos, n)
-    k = len(kept) - d
-    rows = [None] * first
-    for no, row in zip(kept_nos[:k], block[:k]):
-        rows[no - 2] = Inequality(row[:n], row[n])
+    rows = [kept.edits.get(i) for i in range(first)]
     c = np.array(_floats(objective, expected, n))
-
     params = GeneratorParams(n=n, d=d, seed=seed, alpha=alpha, theta=float(c[-1]))
-    return LPInstance(
-        n, BoundingBlock.from_rows(n, alpha, rows), block[k:, :n], block[k:, n], c, params
-    )
+    return LPInstance(n, BoundingBlock.from_rows(n, alpha, rows), kept.a, kept.b, c, params)
 
 
 def stats_to_text(stats: GenerationStats) -> str:

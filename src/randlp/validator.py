@@ -14,7 +14,8 @@ closed form, the edited bounding rows and the random rows, in row order:
 an unusable row is reported, zeroed and masked, and the pair walk
 normalizes the stack in place.  Its pairs come from ``geometry.stack_pairs``,
 and every bounding row held in closed form is paired with the stack through
-``geometry.bounding_pairs``.
+``geometry.bounding_pairs``.  So the check holds the stack, its unit rows
+and one product chunk of ``stack_pairs``, never an m x m matrix.
 
 ``verify_support_solution`` checks the known optimum of the bounding system
 by brute-force vertex enumeration, deliberately an independent code path from
@@ -215,8 +216,9 @@ def _pairwise_likeness_violations(inst, xi, stack, l_max, s_min):
     Each survivor is rechecked with the exact scalar predicate, so the
     verdict never depends on BLAS summation order or on how the pair was
     shortlisted.  The reported gap is the one ``likeness`` measures, read
-    off the two rows the recheck builds.  Peak memory is that of one slab of
-    ``stack_pairs``, at most 256 x m dot products, not O(m^2).
+    off the two rows the recheck builds.  Beyond the stack, peak memory is
+    that of one slab of ``stack_pairs``, one product chunk of at most
+    max(2^17, 32 x m, n x m) dot products, not O(m^2).
     """
     pairs = [(xi[earlier], xi[later]) for later, earlier in stack_pairs(stack, l_max, s_min)]
     k, i = bounding_pairs(inst.bounding, stack, l_max, s_min)

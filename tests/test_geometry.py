@@ -711,3 +711,230 @@ def test_near_pairs_keeps_every_alike_pair_in_query_then_row_order(
         # both cut the same product coef * u_j, at cuts an ulp or so apart
         cut = direction_cut(q_halves + 0.5, l_max)
         assert all(abs(coef * q_units[i, j] - cut[i]) < 1e-12 for i, j in set(axis) ^ set(got))
+
+
+
+# --- products in chunks versus one product ------------------------------------
+
+
+# (n, _PAIR_BLOCK) under a budget of one product: every chunk of a product
+# against two rows or more then holds max(_PAIR_BLOCK, n) queries
+FEW_PRODUCTS = [(1, 1), (1, 3), (2, 1), (2, 3), (20, 1), (400, 1)]
+
+
+def one_chunk():
+    return mock.patch.multiple(geometry, _PAIR_BUDGET=1 << 62, _PAIR_BLOCK=1)
+
+
+def few_products(block):
+    return mock.patch.multiple(geometry, _PAIR_BUDGET=1, _PAIR_BLOCK=block)
+
+
+def across_chunks(chunk, first=0):
+    """Stack sizes on both sides of the first chunk boundary and past the
+    second; chunks of ``chunk`` rows start at row ``first``."""
+    return sorted({max(2, first + chunk - 1), first + chunk, first + chunk + 1,
+                   first + 2 * chunk + 1})
+
+
+def half_for_cut(target, l_max):
+    """The half h whose ``direction_cut(h, l_max)`` is target, stepped an
+    ulp at a time from target plus the cut's shift; None when the rounding
+    steps over target."""
+    h = np.float64(target) - direction_cut(np.float64(0.0), l_max)
+    for _ in range(8):
+        cut = direction_cut(h, l_max)
+        if cut == target:
+            return h
+        h = np.nextafter(h, np.inf if cut < target else -np.inf)
+    return None
+
+
+def cut_near(value, case):
+    """A cut one ulp below value (case 0: a pair whose product is value is
+    kept), at value (1) or one ulp above it (2)."""
+    return np.nextafter(value, (-np.inf, value, np.inf)[case])
+
+
+def exact_rows(gen, n, k):
+    """k rows whose dot products are exact in any order of summation, and
+    their offsets: entries are multiples of 1/8 in [0, 1], so every product
+    and partial sum is a multiple of 1/64 far below 2**53; offsets are
+    multiples of 1/4 in [0, 2], some exactly s_min = 1 apart."""
+    return gen.integers(0, 9, (k, n)) / 8.0, gen.integers(0, 9, k) / 4.0
+
+
+def ulp_queries(gen, n, rows, kq, l_max):
+    """Queries whose cut lies one ulp below, at or one ulp above their
+    product with one row, and the (query, row, case) of those pairs."""
+    units, halves, _ = rows
+    q_units, q_offsets = exact_rows(gen, n, kq)
+    dots = q_units @ units.T
+    q_halves = np.full(kq, 2.0)
+    marked = []
+    for i in range(kq):
+        j, case = int(gen.integers(len(units))), i % 3
+        h = half_for_cut(cut_near(dots[i, j] - halves[j], case), l_max)
+        if h is not None:
+            q_halves[i] = h
+            marked.append((i, j, case))
+    return (q_units, q_halves, q_offsets), marked
+
+
+def ulp_stack(gen, n, m, l_max):
+    """A stack whose row i's cut lies one ulp below, at or one ulp above
+    its product with an earlier row, and the (later, earlier, case) of
+    those pairs."""
+    units, offsets = exact_rows(gen, n, m)
+    halves = np.full(m, -2.0)
+    marked = []
+    for i in range(1, m):
+        j, case = int(gen.integers(i)), i % 3
+        h = half_for_cut(cut_near(float(units[i] @ units[j]) - halves[j], case), l_max)
+        if h is not None:
+            halves[i] = h
+            marked.append((i, j, case))
+    return (units, halves, offsets), marked
+
+
+def planted_rows(gen, n, k, bases):
+    """k rows around the bases, tilted as ``near_row`` tilts them."""
+    rows = []
+    for _ in range(k):
+        v, beta = bases[int(gen.integers(len(bases)))]
+        spread = float(gen.choice([0.0, 1e-3, 0.2]))
+        rows.append(near_row(gen, v / float(row_norms(v)), beta, spread,
+                             gen.uniform(-50.0, 50.0), 1.0))
+    return np.stack([a for a, _ in rows]), np.array([b for _, b in rows])
+
+
+def assert_marked_pairs_at_the_cut(pairs, marked, q_offsets, offsets, s_min):
+    """A marked pair is kept exactly when its product lies one ulp above
+    the cut and its offsets are near; the cases met are returned."""
+    for i, j, case in marked:
+        near = abs(offsets[j] - q_offsets[i]) < s_min
+        assert ((i, j) in pairs) == (case == 0 and near), (i, j, case, near)
+    return {case for _, _, case in marked}
+
+
+@pytest.mark.parametrize("n, block", FEW_PRODUCTS)
+def test_queries_in_chunks_give_the_pairs_of_one_product(n, block):
+    l_max, s_min = 0.35, 1.0
+    gen = np.random.default_rng(n + block)
+    chunk = max(block, n)
+    bases = [(gen.standard_normal(n), float(gen.uniform(-100.0, 100.0))) for _ in range(6)]
+    cases = set()
+    for kq in across_chunks(chunk):
+        # rows enough that the budget's share, 1 // rows, is 0
+        units, offsets = exact_rows(gen, n, 12)
+        ulp_rows = (units, np.full(12, -2.0), offsets)
+        at_cut, marked = ulp_queries(gen, n, ulp_rows, kq, l_max)
+        planted = [unit_triple(*planted_rows(gen, n, k, bases)) for k in (12, kq)]
+        for rows, queries in ((ulp_rows, at_cut), planted):
+            with one_chunk():
+                want = near_pairs(rows, queries, l_max, s_min)
+            with few_products(block):
+                assert geometry._chunk(rows[0]) == chunk
+                got = near_pairs(rows, queries, l_max, s_min)
+            assert [x.tolist() for x in got] == [x.tolist() for x in want]
+        qi, ri = near_pairs(ulp_rows, at_cut, l_max, s_min)
+        cases |= assert_marked_pairs_at_the_cut(set(zip(qi.tolist(), ri.tolist())), marked,
+                                                at_cut[2], offsets, s_min)
+    assert cases == {0, 1, 2}
+
+
+@pytest.mark.parametrize("n, block", FEW_PRODUCTS)
+def test_slabs_in_chunks_give_the_pairs_of_one_slab(n, block):
+    l_max, s_min = 0.35, 1.0
+    gen = np.random.default_rng(n + block)
+    chunk = max(block, n)
+    bases = [(gen.standard_normal(n), float(gen.uniform(-100.0, 100.0))) for _ in range(6)]
+    cases = set()
+    for m in across_chunks(chunk, first=1):
+        stack, marked = ulp_stack(gen, n, m, l_max)
+        for rows in (stack, unit_triple(*planted_rows(gen, n, m, bases))):
+            with one_chunk():
+                want = pairs_of(stack_pairs(rows, l_max, s_min))
+            with few_products(block):
+                assert geometry._chunk(rows[0]) == chunk
+                got = pairs_of(stack_pairs(rows, l_max, s_min))
+            assert got == want
+        with few_products(block):
+            pairs = set(pairs_of(stack_pairs(stack, l_max, s_min)))
+        cases |= assert_marked_pairs_at_the_cut(pairs, marked, stack[2], stack[2], s_min)
+    assert cases == {0, 1, 2}
+
+
+def pairs_of(walk):
+    return [(i, j) for later, earlier in walk for i, j in zip(later.tolist(), earlier.tolist())]
+
+
+def exact_unit_rows(gen, n, k, bases):
+    """k rows of norm exactly 1, so that ``unit_rows`` keeps them bit for
+    bit and every product is exact, and their right-hand sides, multiples of
+    1/2 in [-2, 2].  For n >= 16, sixteen entries of +-1/4 at the places of
+    one of the bases, one of them moved or its sign flipped, so that
+    products are multiples of 1/16 and many are 14/16; for n < 16, +-e_j."""
+    rows = np.zeros((k, n))
+    for r in range(k):
+        if n < 16:
+            rows[r, gen.integers(n)] = gen.choice([-1.0, 1.0])
+            continue
+        places, signs = (x.copy() for x in bases[int(gen.integers(len(bases)))])
+        move = int(gen.integers(16))
+        if gen.integers(2):
+            signs[move] = -signs[move]
+        else:
+            places[move] = gen.choice(np.setdiff1d(np.arange(n), places))
+        rows[r, places] = signs / 4.0
+    return rows, gen.integers(-4, 5, k) / 2.0
+
+
+def l_max_at_cuts(product):
+    """Per case of ``cut_near`` that the rounding reaches, an l_max whose
+    cut for unit rows, ``direction_cut(1/2, l_max)``, is
+    ``cut_near(product - 1/2, case)``: unit rows' halves are 1/2, so a pair
+    of unit rows of that product then lies one ulp above, at or one ulp
+    below its cut."""
+    start = math.sqrt(2.0 * (1.0 - product) - geometry._GAP_SQ_MARGIN)
+    near = [start]
+    for toward in (0.0, 4.0):
+        l_max = start
+        for _ in range(100):
+            l_max = float(np.nextafter(l_max, toward))
+            near.append(l_max)
+    found = {}
+    for l_max in near:
+        for case in range(3):
+            if direction_cut(np.float64(0.5), l_max) == cut_near(product - 0.5, case):
+                found.setdefault(case, l_max)
+    return found
+
+
+@pytest.mark.parametrize("n, block", FEW_PRODUCTS)
+def test_queries_in_chunks_give_the_verdicts_of_one_product(n, block):
+    s_min = 1.0
+    gen = np.random.default_rng(n + block)
+    chunk = max(block, n)
+    bases = [(gen.choice(n, 16, replace=False), gen.choice([-1.0, 1.0], 16))
+             for _ in range(3)] if n >= 16 else []
+    drawn = [(gen.standard_normal(n), float(gen.uniform(-100.0, 100.0))) for _ in range(6)]
+    # pairs of product 14/16 for n >= 16, and e and -e, of product -1, for
+    # n < 16, where the rounding reaches fewer of the cases
+    at_cut = l_max_at_cuts(0.875 if n >= 16 else -1.0)
+    assert len(at_cut) == 3 if n >= 16 else at_cut
+    for k in across_chunks(chunk):
+        for rows, l_maxes in ((exact_unit_rows, at_cut.values()), (planted_rows, [0.35])):
+            stored = rows(gen, n, 12, bases if rows is exact_unit_rows else drawn)
+            stack = rows(gen, n, k, bases if rows is exact_unit_rows else drawn)
+            for l_max in l_maxes:
+                verdicts = []
+                for patch in (one_chunk(), few_products(block)):
+                    with patch:
+                        idx = SimilarityIndex(n, l_max, s_min)
+                        idx.append(*stored)
+                        verdicts.append(idx.any_alike(*stack).tolist())
+                assert verdicts[0] == verdicts[1]
+                if k <= 50:
+                    assert verdicts[0] == replay_verdicts(list(zip(*stored)), list(zip(*stack)),
+                                                          l_max, s_min)

@@ -4,6 +4,7 @@ import os
 import random
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
@@ -312,10 +313,10 @@ def test_alpha_spelled_another_way_reads_through_the_slow_path(monkeypatch):
     assert back == inst
     assert back.params.alpha == 200.0
     # line 2 gives alpha; lines 2 and 3 differ from the template and are
-    # parsed in one block with the random rows; the other bounding rows
-    # match it; the objective is always parsed
+    # parsed in a group of their own, then the random rows in one; the other
+    # bounding rows match it; the objective is always parsed
     assert parsed == [2, 10]
-    assert blocks == [[2, 3, 7, 8, 9]]
+    assert blocks == [[2, 3], [7, 8, 9]]
 
 
 def test_bounding_lines_spelled_another_way_stay_in_closed_form():
@@ -782,6 +783,17 @@ def test_a_header_claiming_a_huge_n_allocates_nothing():
     assert peak < 1 << 20
 
 
+def test_a_header_claiming_a_huge_d_allocates_only_the_rows_read():
+    text = "1 1000000003 1000000000 0\n1 200\n-1 0\n1 100\n1 1\n1 2\n100\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"^expected 1000000005 lines .* found 7$"):
+            read_instance(io.StringIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
 def test_reading_a_path_holds_only_the_lines_it_parses(tmp_path):
     # a 15.5 MB text, nearly all of it bounding lines equal to their template
     inst, _ = generate_sequential(GeneratorParams(n=2000, d=5, seed=0))
@@ -799,6 +811,108 @@ def test_reading_a_path_holds_only_the_lines_it_parses(tmp_path):
                 source.close()
         assert back == inst
         assert peak < 2 << 20
+
+
+def test_reading_holds_one_group_and_the_random_rows(tmp_path):
+    # 2.4 MB of random lines read into a 0.96 MB array; the lines were all
+    # held at once, and the rows parsed from them copied once more
+    inst, _ = generate_sequential(GeneratorParams(n=400, d=300, seed=1))
+    path = tmp_path / "wide.txt"
+    write_instance(inst, path)
+    tracemalloc.start()
+    try:
+        back = read_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == inst
+    assert peak < 2 * inst.random_a.nbytes, peak
+
+
+# --- parsing in groups --------------------------------------------------------
+
+
+def grouped_read(monkeypatch, lines):
+    """The line numbers of each group ``_parse_block`` is handed, the line
+    numbers ``_floats`` parses, and the ParseError message or the
+    instance, of reading ``lines``."""
+    groups, floats = [], []
+    parse_block, parse_floats = rio._parse_block, rio._floats
+    monkeypatch.setattr(rio, "_parse_block", lambda lines, nos, n: groups.append(
+        list(nos)) or parse_block(lines, nos, n))
+    monkeypatch.setattr(rio, "_floats", lambda line, no, count: floats.append(
+        no) or parse_floats(line, no, count))
+    try:
+        got = read_instance(io.StringIO("\n".join(lines) + "\n"))
+    except ParseError as e:
+        got = str(e)
+    return groups, floats, got
+
+
+@pytest.fixture(scope="module")
+def lines_of_groups():
+    # random lines of about 9 kB, lines 803 to 832: seven to a group
+    lines = instance_to_text(_synthetic_instance(400, 30, 0)).splitlines()
+    assert all(8000 < len(line) < 10_000 for line in lines[802:832])
+    return lines
+
+
+def test_a_bad_line_in_a_late_group_is_reported_after_good_groups(monkeypatch, lines_of_groups):
+    lines = list(lines_of_groups)
+    toks = lines[827].split()
+    toks[3] = "#"
+    lines[827] = " ".join(toks)
+    groups, floats, got = grouped_read(monkeypatch, lines)
+    assert got.startswith("line 828: not a number among: ")
+    # the groups before it were parsed whole, no group after it
+    assert len(groups) >= 4 and [no for g in groups for no in g] == list(range(803, 803 + sum(
+        map(len, groups))))
+    assert 828 in groups[-1]
+    assert floats == [2, *range(groups[-1][0], 829)]
+
+
+def test_a_bad_bounding_line_comes_before_a_bad_random_line_of_another_group(
+        monkeypatch, lines_of_groups):
+    lines = list(lines_of_groups)
+    toks = lines[2].split()
+    assert toks[:2] == ["0", "1"]
+    toks[0], toks[5] = "0.0", "x"
+    lines[2] = " ".join(toks)
+    lines[802] = "# " + lines[802].split(" ", 1)[1]
+    groups, _, got = grouped_read(monkeypatch, lines)
+    assert got.startswith("line 3: not a number among: '0.0 1 0 0 0 x ")
+    # the kept bounding line is a group of its own, and no random group is
+    # parsed after it fails
+    assert groups == [[3]]
+
+
+def test_a_non_finite_number_sends_only_its_group_to_the_token_path(monkeypatch,
+                                                                   lines_of_groups):
+    lines = list(lines_of_groups)
+    toks = lines[819].split()
+    toks[7] = "nan"
+    lines[819] = " ".join(toks)
+    groups, floats, got = grouped_read(monkeypatch, lines)
+    assert got.startswith("line 820: not a finite number among: ")
+    assert 820 in groups[-1] and len(groups) >= 3
+    # the groups before it were parsed by np.loadtxt alone
+    assert floats == [2, *range(groups[-1][0], 821)]
+    # without the nan every group is, and only line 2 and the objective go
+    # through the token path
+    want = read_instance(io.StringIO("\n".join(lines_of_groups) + "\n"))
+    groups, floats, got = grouped_read(monkeypatch, lines_of_groups)
+    assert got == want
+    assert floats == [2, 833] and len(groups) >= 4
+
+
+def test_a_group_of_blank_lines_is_a_parse_error_without_a_warning(monkeypatch):
+    monkeypatch.setattr(rio, "_BATCH", 1)  # a group per line
+    lines = instance_to_text(_synthetic_instance(2, 3, 0)).splitlines()
+    lines[7] = " \t "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=r"^line 8: expected 3 numbers, found 0$"):
+            read_instance(io.StringIO("\n".join(lines) + "\n"))
 
 
 # --- the %.17g formatter ----------------------------------------------------

@@ -362,8 +362,8 @@ def all_pairs_reference(inst):
 @pytest.fixture(scope="module")
 def tampered_tall():
     # 341 rows; constraint 100 is zeroed, so usable row k is constraint k+1
-    # from there on and the 256-row block boundary falls between constraints
-    # 256 and 257.  Injected alike pairs: (256, 257) across that boundary,
+    # from there on and the boundary of 256-row slabs falls between
+    # constraints 256 and 257.  Injected alike pairs: (256, 257) across that boundary,
     # (5, 300) and (256, 290) from the first block into the second, a copy
     # of bounding row 0 near the end.  Rows 200 and 320 have norms that
     # overflow, and such rows are masked: no pair holds them.
@@ -414,7 +414,8 @@ def test_blocked_pairs_match_all_pairs_reference(tampered_tall, unusable_boundin
     assert {(257, "alike with constraint 256"), (300, "alike with constraint 5"),
             (290, "alike with constraint 256"), (330, "alike with constraint 0")} <= set(want)
     assert not any(j in (200, 320) or cond.endswith((" 200", " 320")) for j, cond in want)
-    monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+    # slabs of ``block`` rows, fewer than the n = 20 a chunk takes at least
+    monkeypatch.setattr(geometry, "_chunk", lambda units: block)
     rechecks = []
 
     def counted(*args):
@@ -455,6 +456,42 @@ def test_validation_memory_grows_with_m_not_m_squared():
     assert peaks[0] < 2 * tall.m * tall.m, peaks
     # the stack and one temporary of its size at a time, no second copy
     assert peaks[1] < 3.2 * 8 * wide.m * wide.n, peaks
+
+
+
+@pytest.fixture(scope="module")
+def tall_3000():
+    # m = 3041 rows of n = 20: 2^17 // 3000 = 43 stacked rows per slab
+    inst, _ = generate_parallel(GeneratorParams(n=20, d=3000, seed=3, workers=2))
+    return inst
+
+
+def test_validation_holds_the_stack_and_one_product_chunk(tall_3000):
+    tracemalloc.start()
+    try:
+        report = validate_instance(tall_3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    # one slab of 256 later rows against all m took 256 x m doubles alone
+    assert peak < 256 * tall_3000.m * 8, peak
+
+
+def test_an_alike_pair_across_slabs_is_reported(tall_3000):
+    inst = tall_3000
+    k = 2 * inst.n + 1
+    a, b = inst.random_a.copy(), inst.random_b.copy()
+    a[2500], b[2500] = a[100], b[100]
+    bad = LPInstance(inst.n, inst.bounding, a, b, inst.c, inst.params)
+    # the later rows 100 and 2500 of the stack lie in different slabs
+    step = geometry._chunk(a)
+    assert (100 - 1) // step != (2500 - 1) // step
+    report = validate_instance(bad)
+    assert [str(v) for v in report.violations] == [
+        f"constraint {k + 2500}: alike with constraint {k + 100} "
+        "(measured direction gap 0, bound < 0.35 is too similar)"
+    ]
 
 
 # --- row conditions over one stack versus one row at a time -------------------
